@@ -46,12 +46,13 @@ let int_array_compare a b =
 let universe_builder_of ~seed spec =
   match String.lowercase_ascii (String.trim spec) with
   | "naive" -> Some Universe.build_naive
-  | "quotient" -> Some Universe.build_quotient
-  | "parallel" -> Some (fun r p -> Universe.build_parallel r p)
+  | "quotient" -> Some Universe.build
   | s when String.length s > 8 && String.equal (String.sub s 0 8) "sampled:" -> (
       match int_of_string_opt (String.sub s 8 (String.length s - 8)) with
-      | Some pairs when pairs > 0 ->
-          Some (fun r p -> Universe.build_sampled (Prng.create seed) ~pairs r p)
+      | Some tuples when tuples > 0 ->
+          Some
+            (fun r p ->
+              Universe.build_sampled (Prng.create seed) ~tuples [ r; p ])
       | Some _ | None -> None)
   | _ -> None
 
@@ -290,7 +291,9 @@ let run_scaling ~full ~seed =
   let r, p = Synth.generate prng (Synth.config 3 3 rows 100) in
   let full_u = Universe.build r p in
   let draws = (rows * rows) / 10 in
-  let sampled_u = Universe.build_sampled (Prng.create seed) ~pairs:draws r p in
+  let sampled_u =
+    Universe.build_sampled (Prng.create seed) ~tuples:draws [ r; p ]
+  in
   let goal =
     match Jqi_synth.Synth.goals_of_size full_u ~size:1 with
     | g :: _ -> g
@@ -399,14 +402,14 @@ let run_ablation ~full ~seed =
     !n_runs
 
 (* ------------------------------------------------------------------ *)
-(* Universe construction: naive vs quotient vs parallel (ISSUE 4).     *)
+(* Universe construction: naive vs quotient.                           *)
 (* ------------------------------------------------------------------ *)
 
 (* A/B of the universe builders on a duplicate-heavy TPC-H-shaped
    instance: lineitem and orders projected onto their low-cardinality
    flag/status/priority columns (the §5.1 table shapes with the key
    columns dropped), so row profiles repeat heavily and the quotient
-   collapses the |R|·|P| scan to the distinct-profile product.  All three
+   collapses the |R|·|P| scan to the distinct-profile product.  Both
    exact builders must produce identical universes — classes, counts and
    representatives — which is asserted here and by CI on the emitted
    BENCH_universe.json. *)
@@ -415,7 +418,7 @@ let run_universe ~full ~seed =
   let module Algebra = Jqi_relational.Algebra in
   let module Relation = Jqi_relational.Relation in
   section_header
-    "Universe construction — naive vs quotient vs parallel (profile quotient)";
+    "Universe construction — naive vs quotient (profile quotient)";
   let scales = if full then [ 4; 16 ] else [ 2; 8 ] in
   let universes_equal u1 u2 =
     Int.equal (Universe.n_classes u1) (Universe.n_classes u2)
@@ -452,36 +455,30 @@ let run_universe ~full ~seed =
             [ "o_orderstatus"; "o_orderpriority"; "o_shippriority" ]
         in
         let naive_u, naive_s = time_best (fun () -> Universe.build_naive r p) in
-        let quot_u, quot_s = time_best (fun () -> Universe.build_quotient r p) in
-        let par_u, par_s =
-          time_best (fun () -> Universe.build_parallel ~domains:4 r p)
-        in
+        let quot_u, quot_s = time_best (fun () -> Universe.build r p) in
         (* One instrumented quotient build for the profile/dict counters. *)
         let was_enabled = Obs.enabled () in
         Obs.reset ();
         Obs.set_enabled true;
-        ignore (Universe.build_quotient r p);
+        ignore (Universe.build r p);
         let counter name = Obs.Counter.find name in
         let profiles_r = counter "universe.profiles_r" in
         let profiles_p = counter "universe.profiles_p" in
         let dict_values = counter "universe.dict_values" in
         let pairs_skipped = counter "universe.pairs_skipped" in
         Obs.set_enabled was_enabled;
-        let identical = universes_equal naive_u quot_u && universes_equal naive_u par_u in
+        let identical = universes_equal naive_u quot_u in
         let speedup_quot = naive_s /. quot_s in
-        let speedup_par = naive_s /. par_s in
         Printf.printf
           "  scale %2d: %4d x %4d rows (|D| = %7d), %3d x %2d profiles, %d \
            dict values, %d classes\n\
           \    naive    %8.2f ms\n\
           \    quotient %8.2f ms  (%.1fx)\n\
-          \    parallel %8.2f ms  (%.1fx, 4 domains)\n\
           \    universes %s\n"
           scale (Relation.cardinality r) (Relation.cardinality p)
           (Relation.cardinality r * Relation.cardinality p)
           profiles_r profiles_p dict_values (Universe.n_classes quot_u)
-          (naive_s *. 1e3) (quot_s *. 1e3) speedup_quot (par_s *. 1e3)
-          speedup_par
+          (naive_s *. 1e3) (quot_s *. 1e3) speedup_quot
           (if identical then "identical" else "DIVERGED");
         Json.Obj
           [
@@ -495,9 +492,7 @@ let run_universe ~full ~seed =
             ("classes", Json.int (Universe.n_classes quot_u));
             ("naive_s", Json.Num naive_s);
             ("quotient_s", Json.Num quot_s);
-            ("parallel_s", Json.Num par_s);
             ("speedup_quotient", Json.Num speedup_quot);
-            ("speedup_parallel", Json.Num speedup_par);
             ("identical", Json.Bool identical);
           ])
       scales
@@ -756,12 +751,12 @@ let run_storage ~full ~seed =
   (* Quotient universe over both backends; the paged build is bracketed
      by pool-stat resets so the hit rate covers exactly that scan. *)
   let mem_u, mem_build_s =
-    Jqi_util.Timer.time (fun () -> Universe.build_quotient mem_r mem_p)
+    Jqi_util.Timer.time (fun () -> Universe.build mem_r mem_p)
   in
   Buffer_pool.reset_stats (Relstore.pool store_r);
   Buffer_pool.reset_stats (Relstore.pool store_p);
   let paged_u, paged_build_s =
-    Jqi_util.Timer.time (fun () -> Universe.build_quotient paged_r paged_p)
+    Jqi_util.Timer.time (fun () -> Universe.build paged_r paged_p)
   in
   let hit_rate =
     let st_r = Buffer_pool.stats (Relstore.pool store_r) in
@@ -1528,12 +1523,10 @@ let micro_tests ~seed =
   let red = Jqi_semijoin.Reduction.build phi in
   [
     (* Fig 6 critical path: quotienting the Cartesian product. *)
-    Test.make ~name:"fig6:universe_build_quotient(J4,scale1)"
+    Test.make ~name:"fig6:universe_build(J4,scale1)"
       (Staged.stage (fun () -> Universe.build join4.r join4.p));
     Test.make ~name:"fig6:universe_build_naive(J4,scale1)"
       (Staged.stage (fun () -> Universe.build_naive join4.r join4.p));
-    Test.make ~name:"fig6:universe_build_parallel(J4,4 domains)"
-      (Staged.stage (fun () -> Universe.build_parallel ~domains:4 join4.r join4.p));
     (* §3.4 / Theorem 3.5: the PTIME informativeness test. *)
     Test.make ~name:"fig6:informative_scan"
       (Staged.stage (fun () -> State.informative_classes st));
@@ -1649,7 +1642,7 @@ let run sections full seed universe_spec =
     | Some b -> (b, String.lowercase_ascii (String.trim universe_spec))
     | None ->
         Printf.eprintf
-          "bad --universe %S (expected naive|quotient|parallel|sampled:<pairs>)\n"
+          "bad --universe %S (expected naive|quotient|sampled:<n>)\n"
           universe_spec;
         exit 2
   in
@@ -1707,7 +1700,7 @@ let universe_spec_arg =
     value & opt string "quotient"
     & info [ "universe" ] ~docv:"BUILDER"
         ~doc:"Universe constructor for the fig6/fig7 universes (mirrors \
-              jqinfer): naive, quotient, parallel or sampled:<pairs>.")
+              jqinfer): naive, quotient or sampled:<n>.")
 
 let cmd =
   Cmd.v

@@ -62,53 +62,53 @@ let load_rel ?(backend = Relstore.Mem) path =
 let load_pair ?backend r_path p_path =
   (load_rel ?backend r_path, load_rel ?backend p_path)
 
-(* "--relations a.csv,b.csv,c.csv" — the k-ary instance. *)
-let load_relations ?backend spec =
-  let paths =
-    List.filter
-      (fun s -> not (String.equal s ""))
-      (List.map String.trim (String.split_on_char ',' spec))
-  in
-  if List.compare_length_with paths 2 < 0 then begin
-    Printf.eprintf "--relations needs at least two CSV paths, got %S\n" spec;
-    exit 2
-  end;
-  List.map (fun p -> load_rel ?backend p) paths
+(* The CSV paths of an infer/simulate run: "--relations a.csv,b.csv,c.csv",
+   or the "R.csv P.csv" positionals as the k = 2 spelling of it.  Also
+   returns how the relations were spelled, for the resume hint. *)
+let relation_paths ~cmd r_path p_path relations =
+  match (relations, r_path, p_path) with
+  | Some spec, None, None ->
+      let paths =
+        List.filter
+          (fun s -> not (String.equal s ""))
+          (List.map String.trim (String.split_on_char ',' spec))
+      in
+      if List.compare_length_with paths 2 < 0 then begin
+        Printf.eprintf "--relations needs at least two CSV paths, got %S\n" spec;
+        exit 2
+      end;
+      (paths, "--relations " ^ spec)
+  | Some _, Some _, _ | Some _, _, Some _ ->
+      Printf.eprintf
+        "%s takes either R.csv P.csv positionals or --relations, not both\n" cmd;
+      exit 2
+  | None, Some r, Some p -> ([ r; p ], r ^ " " ^ p)
+  | None, None, _ | None, _, None ->
+      Printf.eprintf "%s needs R.csv P.csv positionals or --relations\n" cmd;
+      exit 2
 
 (* Lookahead engine selection (--engine): the fast engine is the default;
    the reference engine is the Algorithm 5 transcription kept as the
-   differential oracle; parallel fans candidate scoring over domains. *)
+   differential oracle. *)
 let lks_of ~engine k =
   match engine with
   | `Fast -> Strategy.lks k
   | `Reference -> Strategy.lks_reference k
-  | `Parallel domains -> Strategy.lks_par ~domains k
 
 (* Universe builder selection (--universe): the profile quotient is the
-   default; naive is the per-pair reference scan kept for differentials;
-   parallel fans distinct R-profiles over domains; sampled:<pairs> draws
-   that many uniform random pairs instead of scanning the product. *)
+   default; naive is the reference scan kept for differentials;
+   sampled:<n> draws that many uniform random row vectors instead of
+   scanning the product. *)
 let builder_name = function
   | `Naive -> "naive"
   | `Quotient -> "quotient"
-  | `Parallel -> "parallel"
-  | `Sampled pairs -> Printf.sprintf "sampled:%d" pairs
+  | `Sampled n -> Printf.sprintf "sampled:%d" n
 
-let builder_of ~seed = function
-  | `Naive -> Universe.build_naive
-  | `Quotient -> Universe.build_quotient
-  | `Parallel -> fun r p -> Universe.build_parallel r p
-  | `Sampled pairs -> fun r p -> Universe.build_sampled (Prng.create seed) ~pairs r p
-
-(* The same selector for a k-ary relation list.  The quotient/parallel
-   builders share the profile-trie walk; naive is the Cartesian
-   reference; sampled draws random k-tuples. *)
-let kary_builder_of ~seed ubuilder rels =
+let build_universe ~seed ubuilder rels =
   match ubuilder with
   | `Naive -> Universe.build_kary_naive rels
-  | `Quotient | `Parallel -> Universe.build_kary rels
-  | `Sampled tuples ->
-      Universe.build_sampled_kary (Prng.create seed) ~tuples rels
+  | `Quotient -> Universe.build_kary rels
+  | `Sampled tuples -> Universe.build_sampled (Prng.create seed) ~tuples rels
 
 let strategy_of_name ~seed ~engine = function
   | "bu" -> Strategy.bu
@@ -132,6 +132,24 @@ let parse_goal spec =
           Printf.eprintf "bad goal component %S (expected lhs=rhs)\n" part;
           exit 2)
     (if spec = "" then [] else String.split_on_char ',' spec)
+
+(* On two relations a goal pair is "R attribute = P attribute", bare
+   names by side (so a self-join needs no qualification); "rel.attr"
+   names, or pairs in either order, resolve as for k relations. *)
+let goal_of omega spec =
+  let pairs = parse_goal spec in
+  if Int.equal (Omega.n_relations omega) 2 then
+    try Omega.of_names omega pairs
+    with Invalid_argument _ -> Omega.of_names_kary omega pairs
+  else Omega.of_names_kary omega pairs
+
+let describe_relations rels =
+  String.concat
+    (if List.compare_length_with rels 2 = 0 then " and " else ", ")
+    (List.map
+       (fun r ->
+         Printf.sprintf "%s (%d rows)" (Relation.name r) (Relation.cardinality r))
+       rels)
 
 (* ----------------------------- infer ------------------------------ *)
 
@@ -163,15 +181,18 @@ let read_label () =
   in
   prompt ()
 
-let print_question r p (q : Engine.question) =
-  match q.Engine.representative with
-  | Some (tr, tp) ->
-      Printf.printf "\nWould you combine these two rows?\n  %s: %s\n  %s: %s\n"
-        (Relation.name r) (Tuple.to_string tr) (Relation.name p)
-        (Tuple.to_string tp)
+let print_question rels (q : Engine.question) =
+  match q.Engine.rows with
+  | Some tuples ->
+      Printf.printf "\nWould you combine these %srows?\n"
+        (if Array.length tuples = 2 then "two " else "");
+      Array.iteri
+        (fun i t ->
+          Printf.printf "  %s: %s\n" (Relation.name rels.(i)) (Tuple.to_string t))
+        tuples
   | None -> ()
 
-(* Freeze a live engine as a v2 session document: labels so far, the
+(* Freeze a live engine as a session document: labels so far, the
    strategy, and the in-flight question if one is outstanding. *)
 let save_session path universe strategy engine =
   let pending =
@@ -182,106 +203,7 @@ let save_session path universe strategy engine =
   Jqi_core.Session.save ~strategy:(Strategy.name strategy) ?pending path
     universe (Engine.result engine).Engine.state
 
-let cmd_infer_binary r_path p_path strategy_name seed verbose engine ubuilder
-    backend resume save trace metrics =
-  setup_logs verbose;
-  obs_setup ~trace ~metrics;
-  let r, p = load_pair ~backend r_path p_path in
-  let universe = builder_of ~seed ubuilder r p in
-  let omega = Universe.omega universe in
-  Printf.printf
-    "Loaded %s (%d rows) and %s (%d rows); %d tuple classes over |Ω| = %d \
-     (%s universe builder).\n"
-    (Relation.name r) (Relation.cardinality r) (Relation.name p)
-    (Relation.cardinality p) (Universe.n_classes universe) (Omega.width omega)
-    (builder_name ubuilder);
-  let strategy = strategy_of_name ~seed ~engine strategy_name in
-  let engine =
-    match resume with
-    | None -> Engine.create universe strategy
-    | Some path ->
-        let loaded = Jqi_core.Session.load_full path universe in
-        Printf.printf "Resumed %d earlier answers from %s%s.\n"
-          (State.n_interactions loaded.Jqi_core.Session.state)
-          path
-          (match loaded.Jqi_core.Session.strategy with
-          | Some s -> Printf.sprintf " (saved under strategy %s)" s
-          | None -> "");
-        let pending =
-          Jqi_core.Session.pending_class universe
-            loaded.Jqi_core.Session.state loaded.Jqi_core.Session.pending
-        in
-        Engine.create ~state:loaded.Jqi_core.Session.state ?pending universe
-          strategy
-  in
-  (* The interactive loop over the sans-IO engine.  [None] means stdin
-     closed mid-session: autosave (to --save or a temp file) and print the
-     exact command that resumes it. *)
-  let rec drive engine =
-    match Engine.pending engine with
-    | None -> Some engine
-    | Some q -> (
-        print_question r p q;
-        match read_label () with
-        | Some label -> drive (Engine.answer engine label)
-        | None ->
-            let path =
-              match save with
-              | Some path -> path
-              | None -> Filename.temp_file "jqinfer" "-session.json"
-            in
-            save_session path universe strategy engine;
-            Printf.printf
-              "\nInput closed — session autosaved to %s.\nResume with:\n  \
-               jqinfer infer %s %s --strategy %s --resume %s\n"
-              path r_path p_path strategy_name path;
-            None)
-  in
-  match drive engine with
-  | None -> obs_finish ~trace ~metrics
-  | Some engine ->
-      let result = Engine.result engine in
-      (match save with
-      | Some path ->
-          save_session path universe strategy engine;
-          Printf.printf "Session saved to %s.\n" path
-      | None -> ());
-      if result.Engine.halted then begin
-        let cert = Jqi_core.Certificate.of_state result.Engine.state in
-        Printf.printf
-          "Minimal evidence: %d of your %d answers pinned the query down.\n"
-          (Jqi_core.Certificate.size cert)
-          result.Engine.n_interactions
-      end;
-      Printf.printf "\nInferred join predicate after %d answers:\n  %s\n"
-        result.Engine.n_interactions
-        (Omega.pred_to_string omega result.Engine.predicate);
-      Printf.printf "As SQL:\n  %s\n"
-        (sql_of_predicate r p omega result.Engine.predicate);
-      let join =
-        Jqi_relational.Join.equijoin r p
-          (Omega.to_pairs omega result.Engine.predicate)
-      in
-      Printf.printf "It selects %d of the %d pairs.\n"
-        (Relation.cardinality join)
-        (Universe.total_tuples universe);
-      obs_finish ~trace ~metrics
-
-(* --------------------------- k-ary infer -------------------------- *)
-
-let print_kquestion rels (q : Engine.question) =
-  match q.Engine.rows with
-  | Some tuples ->
-      Printf.printf "\nWould you combine these rows?\n";
-      Array.iteri
-        (fun i t ->
-          Printf.printf "  %s: %s\n"
-            (Relation.name rels.(i))
-            (Tuple.to_string t))
-        tuples
-  | None -> ()
-
-(* How many k-tuples of the instance the predicate selects. *)
+(* How many tuples of the instance the predicate selects. *)
 let selected_tuples universe predicate =
   let total = ref 0 in
   for i = 0 to Universe.n_classes universe - 1 do
@@ -290,47 +212,48 @@ let selected_tuples universe predicate =
   done;
   !total
 
-let cmd_infer_kary spec strategy_name seed verbose engine ubuilder backend
-    resume save trace metrics =
+let cmd_infer r_path p_path relations strategy_name seed verbose engine
+    ubuilder backend resume save trace metrics =
+  let paths, spelling = relation_paths ~cmd:"infer" r_path p_path relations in
   setup_logs verbose;
   obs_setup ~trace ~metrics;
-  let rels = load_relations ~backend spec in
-  let universe = kary_builder_of ~seed ubuilder rels in
+  let rels = List.map (load_rel ~backend) paths in
+  let universe = build_universe ~seed ubuilder rels in
   let omega = Universe.omega universe in
   let rel_arr = Array.of_list rels in
   Printf.printf
     "Loaded %s; %d tuple classes over |Ω| = %d (%s universe builder).\n"
-    (String.concat ", "
-       (List.map
-          (fun r ->
-            Printf.sprintf "%s (%d rows)" (Relation.name r)
-              (Relation.cardinality r))
-          rels))
-    (Universe.n_classes universe) (Omega.width omega) (builder_name ubuilder);
+    (describe_relations rels) (Universe.n_classes universe) (Omega.width omega)
+    (builder_name ubuilder);
   let strategy = strategy_of_name ~seed ~engine strategy_name in
   let engine =
     match resume with
     | None -> Engine.create universe strategy
-    | Some path ->
-        let loaded = Jqi_core.Session.load_full path universe in
-        Printf.printf "Resumed %d earlier answers from %s%s.\n"
-          (State.n_interactions loaded.Jqi_core.Session.state)
-          path
-          (match loaded.Jqi_core.Session.strategy with
-          | Some s -> Printf.sprintf " (saved under strategy %s)" s
-          | None -> "");
-        let pending =
-          Jqi_core.Session.pending_class universe
-            loaded.Jqi_core.Session.state loaded.Jqi_core.Session.pending
-        in
-        Engine.create ~state:loaded.Jqi_core.Session.state ?pending universe
-          strategy
+    | Some path -> (
+        match
+          Jqi_server.Manager.thaw (Jqi_core.Session.load_full path) universe
+        with
+        | Error e ->
+            Printf.eprintf "error: %s\n" (Jqi_server.Manager.error_message e);
+            exit 2
+        | Ok (loaded, pending) ->
+            Printf.printf "Resumed %d earlier answers from %s%s.\n"
+              (State.n_interactions loaded.Jqi_core.Session.state)
+              path
+              (match loaded.Jqi_core.Session.strategy with
+              | Some s -> Printf.sprintf " (saved under strategy %s)" s
+              | None -> "");
+            Engine.create ~state:loaded.Jqi_core.Session.state ?pending universe
+              strategy)
   in
+  (* The interactive loop over the sans-IO engine.  [None] means stdin
+     closed mid-session: autosave (to --save or a temp file) and print the
+     exact command that resumes it. *)
   let rec drive engine =
     match Engine.pending engine with
     | None -> Some engine
     | Some q -> (
-        print_kquestion rel_arr q;
+        print_question rel_arr q;
         match read_label () with
         | Some label -> drive (Engine.answer engine label)
         | None ->
@@ -342,8 +265,8 @@ let cmd_infer_kary spec strategy_name seed verbose engine ubuilder backend
             save_session path universe strategy engine;
             Printf.printf
               "\nInput closed — session autosaved to %s.\nResume with:\n  \
-               jqinfer infer --relations %s --strategy %s --resume %s\n"
-              path spec strategy_name path;
+               jqinfer infer %s --strategy %s --resume %s\n"
+              path spelling strategy_name path;
             None)
   in
   match drive engine with
@@ -362,110 +285,60 @@ let cmd_infer_kary spec strategy_name seed verbose engine ubuilder backend
           (Jqi_core.Certificate.size cert)
           result.Engine.n_interactions
       end;
+      let predicate = result.Engine.predicate in
       Printf.printf "\nInferred join predicate after %d answers:\n  %s\n"
         result.Engine.n_interactions
-        (Omega.pred_to_string omega result.Engine.predicate);
-      Printf.printf "It selects %d of the %d tuple combinations.\n"
-        (selected_tuples universe result.Engine.predicate)
-        (Universe.total_tuples universe);
+        (Omega.pred_to_string omega predicate);
+      let selected = selected_tuples universe predicate in
+      let total = Universe.total_tuples universe in
+      (match rels with
+      | [ r; p ] ->
+          Printf.printf "As SQL:\n  %s\n" (sql_of_predicate r p omega predicate);
+          Printf.printf "It selects %d of the %d pairs.\n" selected total
+      | _ ->
+          Printf.printf "It selects %d of the %d tuple combinations.\n" selected
+            total);
       obs_finish ~trace ~metrics
-
-let cmd_infer r_path p_path relations strategy_name seed verbose engine
-    ubuilder backend resume save trace metrics =
-  match (relations, r_path, p_path) with
-  | Some spec, None, None ->
-      cmd_infer_kary spec strategy_name seed verbose engine ubuilder backend
-        resume save trace metrics
-  | Some _, Some _, _ | Some _, _, Some _ ->
-      Printf.eprintf
-        "infer takes either R.csv P.csv positionals or --relations, not both\n";
-      exit 2
-  | None, Some r, Some p ->
-      cmd_infer_binary r p strategy_name seed verbose engine ubuilder backend
-        resume save trace metrics
-  | None, None, _ | None, _, None ->
-      Printf.eprintf "infer needs R.csv P.csv positionals or --relations\n";
-      exit 2
 
 (* ---------------------------- simulate ---------------------------- *)
 
-let cmd_simulate_binary r_path p_path goal_spec seed verbose engine ubuilder
-    backend trace metrics =
-  setup_logs verbose;
-  obs_setup ~trace ~metrics;
-  let r, p = load_pair ~backend r_path p_path in
-  let universe = builder_of ~seed ubuilder r p in
-  let omega = Universe.omega universe in
-  let goal = Omega.of_names omega (parse_goal goal_spec) in
-  Printf.printf
-    "Instance: |D| = %d, %d classes, join ratio %.3f (%s universe builder); \
-     goal %s\n"
-    (Universe.total_tuples universe)
-    (Universe.n_classes universe)
-    (Universe.join_ratio universe)
-    (builder_name ubuilder)
-    (Omega.pred_to_string omega goal);
-  List.iter
-    (fun name ->
-      let strategy = strategy_of_name ~seed ~engine name in
-      let result = Inference.run universe strategy (Oracle.honest ~goal) in
-      Printf.printf "  %-4s %4d interactions  %8.4fs  inferred %s%s\n"
-        result.strategy result.n_interactions result.elapsed
-        (Omega.pred_to_string omega result.predicate)
-        (if Inference.verified universe ~goal result then ""
-         else "  [NOT instance-equivalent]"))
-    [ "bu"; "td"; "l1s"; "l2s"; "rnd"; "igs"; "hybrid" ];
-  let td_result = Inference.run universe Strategy.td (Oracle.honest ~goal) in
-  Printf.printf "inferred query as SQL:\n  %s\n"
-    (sql_of_predicate r p omega td_result.predicate);
-  obs_finish ~trace ~metrics
-
-let cmd_simulate_kary spec goal_spec seed verbose engine ubuilder backend
-    trace metrics =
-  setup_logs verbose;
-  obs_setup ~trace ~metrics;
-  let rels = load_relations ~backend spec in
-  let universe = kary_builder_of ~seed ubuilder rels in
-  let omega = Universe.omega universe in
-  let goal = Omega.of_names_kary omega (parse_goal goal_spec) in
-  Printf.printf
-    "Instance: %d relations, |D| = %d, %d classes, join ratio %.3f (%s \
-     universe builder); goal %s\n"
-    (List.length rels)
-    (Universe.total_tuples universe)
-    (Universe.n_classes universe)
-    (Universe.join_ratio universe)
-    (builder_name ubuilder)
-    (Omega.pred_to_string omega goal);
-  List.iter
-    (fun name ->
-      let strategy = strategy_of_name ~seed ~engine name in
-      let result = Inference.run universe strategy (Oracle.honest ~goal) in
-      Printf.printf "  %-4s %4d interactions  %8.4fs  inferred %s%s\n"
-        result.strategy result.n_interactions result.elapsed
-        (Omega.pred_to_string omega result.predicate)
-        (if Inference.verified universe ~goal result then ""
-         else "  [NOT instance-equivalent]"))
-    [ "bu"; "td"; "l1s"; "l2s"; "rnd"; "igs"; "hybrid" ];
-  obs_finish ~trace ~metrics
-
 let cmd_simulate r_path p_path relations goal_spec seed verbose engine
     ubuilder backend trace metrics =
-  match (relations, r_path, p_path) with
-  | Some spec, None, None ->
-      cmd_simulate_kary spec goal_spec seed verbose engine ubuilder backend
-        trace metrics
-  | Some _, Some _, _ | Some _, _, Some _ ->
-      Printf.eprintf
-        "simulate takes either R.csv P.csv positionals or --relations, not \
-         both\n";
-      exit 2
-  | None, Some r, Some p ->
-      cmd_simulate_binary r p goal_spec seed verbose engine ubuilder backend
-        trace metrics
-  | None, None, _ | None, _, None ->
-      Printf.eprintf "simulate needs R.csv P.csv positionals or --relations\n";
-      exit 2
+  let paths, _ = relation_paths ~cmd:"simulate" r_path p_path relations in
+  setup_logs verbose;
+  obs_setup ~trace ~metrics;
+  let rels = List.map (load_rel ~backend) paths in
+  let universe = build_universe ~seed ubuilder rels in
+  let omega = Universe.omega universe in
+  let goal = goal_of omega goal_spec in
+  Printf.printf
+    "Instance: %s|D| = %d, %d classes, join ratio %.3f (%s universe builder); \
+     goal %s\n"
+    (match rels with
+    | [ _; _ ] -> ""
+    | _ -> Printf.sprintf "%d relations, " (List.length rels))
+    (Universe.total_tuples universe)
+    (Universe.n_classes universe)
+    (Universe.join_ratio universe)
+    (builder_name ubuilder)
+    (Omega.pred_to_string omega goal);
+  List.iter
+    (fun name ->
+      let strategy = strategy_of_name ~seed ~engine name in
+      let result = Inference.run universe strategy (Oracle.honest ~goal) in
+      Printf.printf "  %-4s %4d interactions  %8.4fs  inferred %s%s\n"
+        result.strategy result.n_interactions result.elapsed
+        (Omega.pred_to_string omega result.predicate)
+        (if Inference.verified universe ~goal result then ""
+         else "  [NOT instance-equivalent]"))
+    [ "bu"; "td"; "l1s"; "l2s"; "rnd"; "igs"; "hybrid" ];
+  (match rels with
+  | [ r; p ] ->
+      let td_result = Inference.run universe Strategy.td (Oracle.honest ~goal) in
+      Printf.printf "inferred query as SQL:\n  %s\n"
+        (sql_of_predicate r p omega td_result.predicate)
+  | _ -> ());
+  obs_finish ~trace ~metrics
 
 (* ---------------------------- gen-tpch ---------------------------- *)
 
@@ -915,47 +788,27 @@ let strategy_arg =
     & info [ "s"; "strategy" ] ~doc:"Strategy: bu, td, l1s, l2s, rnd, igs, hybrid.")
 
 (* --engine picks the lookahead implementation behind l1s/l2s; the other
-   strategies ignore it.  --domains only matters with --engine parallel. *)
+   strategies ignore it. *)
 let engine_arg =
-  let engine_conv =
-    Arg.enum [ ("fast", `Fast); ("reference", `Reference); ("parallel", `Parallel) ]
-  in
+  let engine_conv = Arg.enum [ ("fast", `Fast); ("reference", `Reference) ] in
   Arg.(
     value & opt engine_conv `Fast
     & info [ "engine" ]
         ~doc:"Lookahead engine for l1s/l2s: $(b,fast) (incremental, memoized, \
-              pruned — the default), $(b,reference) (the direct Algorithm 5 \
-              transcription), or $(b,parallel) (fast engine with candidate \
-              scoring fanned over --domains domains).")
-
-let domains_arg =
-  Arg.(
-    value & opt int 0
-    & info [ "domains" ]
-        ~doc:"Domain count for --engine parallel (0 = recommended count).")
-
-let engine_term =
-  Term.(
-    const (fun engine domains ->
-        match engine with
-        | (`Fast | `Reference) as e -> e
-        | `Parallel ->
-            `Parallel
-              (if domains > 0 then domains else Domain.recommended_domain_count ()))
-    $ engine_arg $ domains_arg)
+              pruned — the default) or $(b,reference) (the direct Algorithm 5 \
+              transcription).")
 
 let universe_arg =
   let parse s =
     match String.lowercase_ascii (String.trim s) with
     | "naive" -> Ok `Naive
     | "quotient" -> Ok `Quotient
-    | "parallel" -> Ok `Parallel
     | s when String.length s > 8 && String.equal (String.sub s 0 8) "sampled:" -> (
         match int_of_string_opt (String.sub s 8 (String.length s - 8)) with
-        | Some pairs when pairs > 0 -> Ok (`Sampled pairs)
+        | Some n when n > 0 -> Ok (`Sampled n)
         | Some _ | None ->
-            Error (`Msg "sampled:<pairs> needs a positive pair count"))
-    | _ -> Error (`Msg "expected naive, quotient, parallel or sampled:<pairs>")
+            Error (`Msg "sampled:<n> needs a positive sample size"))
+    | _ -> Error (`Msg "expected naive, quotient or sampled:<n>")
   in
   let print ppf b = Fmt.string ppf (builder_name b) in
   Arg.(
@@ -963,10 +816,9 @@ let universe_arg =
     & opt (conv (parse, print)) `Quotient
     & info [ "universe" ] ~docv:"BUILDER"
         ~doc:"Universe constructor: $(b,quotient) (dictionary-encoded \
-              row-profile quotient — the default), $(b,naive) (the per-pair \
-              reference scan), $(b,parallel) (quotient with R-profiles \
-              fanned over domains), or $(b,sampled:)$(i,PAIRS) (uniform \
-              random pairs instead of a full scan; approximate).")
+              row-profile quotient — the default), $(b,naive) (the raw \
+              reference scan), or $(b,sampled:)$(i,N) ($(i,N) uniform random \
+              row vectors instead of a full scan; approximate).")
 
 let trace_arg =
   Arg.(
@@ -1021,7 +873,7 @@ let infer_cmd =
        ~doc:"Interactively infer an equijoin over two CSV files (or k with \
              --relations)")
     Term.(const cmd_infer $ r_opt_arg $ p_opt_arg $ relations_arg
-          $ strategy_arg $ seed_arg $ verbose_arg $ engine_term $ universe_arg
+          $ strategy_arg $ seed_arg $ verbose_arg $ engine_arg $ universe_arg
           $ backend_term $ resume_arg $ save_arg $ trace_arg $ metrics_arg)
 
 let goal_arg =
@@ -1034,7 +886,7 @@ let simulate_cmd =
   Cmd.v
     (Cmd.info "simulate" ~doc:"Replay inference with a known goal, all strategies")
     Term.(const cmd_simulate $ r_opt_arg $ p_opt_arg $ relations_arg $ goal_arg
-          $ seed_arg $ verbose_arg $ engine_term $ universe_arg $ backend_term
+          $ seed_arg $ verbose_arg $ engine_arg $ universe_arg $ backend_term
           $ trace_arg $ metrics_arg)
 
 let scale_arg = Arg.(value & opt int 1 & info [ "scale" ] ~doc:"Scale factor.")

@@ -50,13 +50,13 @@ let play ~title ~goal_pairs strategy =
   let result = Inference.run universe strategy oracle in
   List.iter
     (fun (cls, label) ->
-      match Universe.representative universe cls with
-      | Some (tf, th) ->
+      match Universe.representative_rows universe cls with
+      | Some [| tf; th |] ->
           Printf.printf "  user labels %s + %s  ->  %s\n"
             (Tuple.to_string tf) (Tuple.to_string th)
             (match label with Sample.Positive -> "yes, keep it"
                             | Sample.Negative -> "no, drop it")
-      | None -> ())
+      | Some _ | None -> ())
     result.steps;
   Printf.printf "inferred after %d interactions: %s\n"
     result.n_interactions

@@ -89,11 +89,15 @@ let create ?max_interactions ?state ?pending universe strategy =
   | Some _ | None -> select t
 
 let question_of t cls =
+  let rows = Universe.representative_rows t.universe cls in
   {
     class_id = cls;
     signature = Universe.signature t.universe cls;
-    representative = Universe.representative t.universe cls;
-    rows = Universe.representative_rows t.universe cls;
+    representative =
+      (match rows with
+      | Some [| tr; tp |] -> Some (tr, tp)
+      | Some _ | None -> None);
+    rows;
   }
 
 let pending t = Option.map (question_of t) t.pending

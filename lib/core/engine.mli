@@ -20,12 +20,10 @@ type question = {
   signature : Jqi_util.Bits.t;  (** T(t) of the class *)
   representative :
     (Jqi_relational.Tuple.t * Jqi_relational.Tuple.t) option;
-      (** a concrete tuple pair to show the user, when the universe is
-          binary and was built from relations *)
+      (** [rows] as a pair, when the universe is binary (k = 2) *)
   rows : Jqi_relational.Tuple.t array option;
-      (** one representative tuple per relation — the k-ary view of
-          [representative], present whenever the universe carries its
-          relations *)
+      (** one representative tuple per relation, present whenever the
+          universe carries its relations *)
 }
 
 type t

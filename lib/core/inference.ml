@@ -87,7 +87,7 @@ let pp omega ppf r =
     (if r.halted then "" else " (budget exhausted)")
 
 (* Human-readable replay of the session: one line per question, with the
-   representative tuple pair when the universe has backing relations, the
+   representative tuples when the universe has backing relations, the
    signature otherwise. *)
 let pp_transcript universe ppf r =
   let omega = Universe.omega universe in
@@ -95,10 +95,11 @@ let pp_transcript universe ppf r =
   List.iteri
     (fun k (cls, lbl) ->
       let mark = match lbl with Sample.Positive -> "+" | Sample.Negative -> "-" in
-      match Universe.representative universe cls with
-      | Some (tr, tp) ->
-          Fmt.pf ppf "%2d. %s %a ⊕ %a@," (k + 1) mark
-            Jqi_relational.Tuple.pp tr Jqi_relational.Tuple.pp tp
+      match Universe.representative_rows universe cls with
+      | Some rows ->
+          Fmt.pf ppf "%2d. %s %a@," (k + 1) mark
+            (Fmt.array ~sep:(Fmt.any " ⊕ ") Jqi_relational.Tuple.pp)
+            rows
       | None ->
           Fmt.pf ppf "%2d. %s signature %a@," (k + 1) mark (Omega.pp_pred omega)
             (Universe.signature universe cls))

@@ -24,9 +24,9 @@ let infer universe ~positives ~negatives =
   let omega = Universe.omega universe in
   let module R = Jqi_relational.Relation in
   let signature_of (i, j) =
-    match Universe.relations universe with
-    | Some (r, p) -> Tsig.of_tuples omega (R.row r i) (R.row p j)
-    | None -> invalid_arg "Qbe.infer: universe has no backing relations"
+    match Universe.relation_array universe with
+    | Some [| r; p |] -> Tsig.of_tuples omega (R.row r i) (R.row p j)
+    | Some _ | None -> invalid_arg "Qbe.infer: universe has no backing relations"
   in
   let pos_sigs = List.map signature_of positives in
   let neg_sigs = List.map signature_of negatives in

@@ -15,7 +15,6 @@ module Bits = Jqi_util.Bits
 module Obs = Jqi_obs.Obs
 module Dict = Jqi_relational.Dict
 module Relation = Jqi_relational.Relation
-module Tuple = Jqi_relational.Tuple
 module Vec = Jqi_util.Vec
 
 type cls = { signature : Bits.t; count : int; rep : int array }
@@ -88,13 +87,30 @@ let of_signature_list ?relations omega sigs =
     omega
     (List.map (fun (s, c, (i, j)) -> (s, c, [| i; j |])) sigs)
 
+(* Every built universe shares one Ω constructor: the k-ary layout over
+   the relations' own names.  On k = 2 its single block sits at offset 0,
+   so bit positions and the bare-name rendering are the binary ones. *)
+let omega_of rels =
+  Omega.of_schemas_kary
+    (Array.to_list
+       (Array.map (fun r -> (Relation.name r, Relation.schema r)) rels))
+
+let check_rels ~entry rels =
+  if Array.length rels < 2 then invalid_arg (entry ^ ": need at least two relations");
+  Array.iter
+    (fun r ->
+      if Relation.cardinality r = 0 then
+        invalid_arg (entry ^ ": empty Cartesian product"))
+    rels
+
 (* The reference per-pair scan: every tuple of R × P gets its own
    [Tsig.of_tuples] call and bitset.  Kept as the executable definition
-   and as the differential oracle for the quotient builders below; the
-   default [build] is [build_quotient]. *)
+   and as the differential oracle for [build_kary] below. *)
 let build_naive r p =
   Obs.span "universe.build_naive" @@ fun () ->
-  let omega = Omega.of_schemas (Relation.schema r) (Relation.schema p) in
+  let rels = [| r; p |] in
+  check_rels ~entry:"Universe.build" rels;
+  let omega = omega_of rels in
   let acc = H.create 256 in
   let nr = Relation.cardinality r and np = Relation.cardinality p in
   for i = 0 to nr - 1 do
@@ -106,35 +122,62 @@ let build_naive r p =
       | None -> H.replace acc s (1, [| i; j |])
     done
   done;
-  let sigs = H.fold (fun s (c, rep) l -> (s, c, rep) :: l) acc [] in
-  (match sigs with
-  | [] -> invalid_arg "Universe.build: empty Cartesian product"
-  | _ :: _ -> ());
-  of_ksignature_list ~relations:[| r; p |] omega sigs
+  of_ksignature_list ~relations:rels omega
+    (H.fold (fun s (c, rep) l -> (s, c, rep) :: l) acc [])
+
+(* The reference k-way scan: one [Tsig.of_ktuples] per raw tuple of
+   ∏ R_i — the executable definition of the k-ary universe and the
+   differential oracle for [build_kary].  Exponential in k; tests and
+   benches only. *)
+let build_kary_naive rels =
+  Obs.span "universe.build_kary_naive" @@ fun () ->
+  let rels = Array.of_list rels in
+  check_rels ~entry:"Universe.build_kary" rels;
+  let k = Array.length rels in
+  let omega = omega_of rels in
+  let acc = H.create 256 in
+  let tuples = Array.make k (Relation.row rels.(0) 0) in
+  let rep = Array.make k 0 in
+  let rec scan d =
+    if Int.equal d k then begin
+      let s = Tsig.of_ktuples omega tuples in
+      match H.find_opt acc s with
+      | Some (c, r) -> H.replace acc s (c + 1, r)
+      | None -> H.replace acc s (1, Array.copy rep)
+    end
+    else
+      for i = 0 to Relation.cardinality rels.(d) - 1 do
+        tuples.(d) <- Relation.row rels.(d) i;
+        rep.(d) <- i;
+        scan (d + 1)
+      done
+  in
+  scan 0;
+  of_ksignature_list ~relations:rels omega
+    (H.fold (fun s (c, r) l -> (s, c, r) :: l) acc [])
 
 (* ---------------- profile-quotient construction ------------------- *)
 
-(* The quotient-first constructor exploits two levels of redundancy the
-   per-pair scan ignores:
+(* [build_kary] exploits two levels of redundancy the raw scans ignore:
 
-   1. Value dictionary: every cell of R and P is interned into one shared
-      dense code space ([Jqi_relational.Dict]) replicating [Value.eq], so
-      the signature inner loop compares integers on flat arrays instead of
-      tag-dispatching on boxed [Value.t].
+   1. Value dictionary: every cell of every relation is interned into one
+      shared dense code space ([Jqi_relational.Dict]) replicating
+      [Value.eq], so the signature inner loop compares integers on flat
+      arrays instead of tag-dispatching on boxed [Value.t].
 
    2. Row profiles: two rows with the same code vector produce the same
-      signature against *every* partner row, so it suffices to compute
-      signatures for distinct-profile pairs and add multiplicity
-      |profile_R| × |profile_P| per pair.  The scan shrinks from
-      |R|·|P| to d_R·d_P where d is the distinct-profile count —
-      orders of magnitude on duplicate-heavy (TPC-H-shaped) data.
+      signature against *every* partner row combination, so it suffices
+      to compute signatures for distinct-profile combinations and add the
+      product of the profile multiplicities.  On two relations the scan
+      shrinks from |R|·|P| to d_R·d_P where d is the distinct-profile
+      count — orders of magnitude on duplicate-heavy (TPC-H-shaped) data.
 
-   The result is identical to [build_naive]: same classes and counts by
-   construction, and the same representatives because the full-scan rep of
-   a class is its lexicographically smallest pair (i, j), which for a
-   profile pair (a, b) — whose members are all combinations of a's rows
-   with b's rows — is (first row of a, first row of b), min-merged across
-   the profile pairs sharing a signature. *)
+   The result is identical to the naive scans: same classes and counts by
+   construction, and the same representatives because the full-scan rep
+   of a class is its lexicographically smallest row vector, which for a
+   profile combination — whose members are all combinations of the
+   profiles' rows — is the vector of the profiles' first rows, min-merged
+   across the combinations sharing a signature. *)
 
 module Profile = struct
   type t = int array
@@ -179,32 +222,30 @@ let c_profiles_r = Obs.Counter.make "universe.profiles_r"
 let c_profiles_p = Obs.Counter.make "universe.profiles_p"
 let c_profile_pairs = Obs.Counter.make "universe.profile_pairs"
 let c_pairs_skipped = Obs.Counter.make "universe.pairs_skipped"
-
-(* Shared front half of the quotient builders: intern both relations into
-   one dictionary and group their rows into profiles. *)
-let quotient_profiles r p =
-  let nr = Relation.cardinality r and np = Relation.cardinality p in
-  if nr = 0 || np = 0 then invalid_arg "Universe.build: empty Cartesian product";
-  let dict = Dict.create ~size:(nr + np) () in
-  let rprofs = stream_profiles dict r in
-  let pprofs = stream_profiles dict p in
-  Obs.Counter.add c_dict_values (Dict.size dict);
-  Obs.Counter.add c_profiles_r (Array.length rprofs);
-  Obs.Counter.add c_profiles_p (Array.length pprofs);
-  let n_pairs = Array.length rprofs * Array.length pprofs in
-  Obs.Counter.add c_profile_pairs n_pairs;
-  Obs.Counter.add c_pairs_skipped ((nr * np) - n_pairs);
-  (rprofs, pprofs)
+let c_kary_profiles = Obs.Counter.make "universe.kary_profiles"
+let c_kary_work = Obs.Counter.make "universe.kary_work"
+let c_kary_collapsed = Obs.Counter.make "universe.kary_collapsed"
 
 let merge_into acc s count rep =
   match H.find_opt acc s with
   | Some (c, rep') -> H.replace acc s (c + count, rep_min rep rep')
   | None -> H.add acc s (count, rep)
 
-let build_quotient r p =
-  Obs.span "universe.build_quotient" @@ fun () ->
-  let omega = Omega.of_schemas (Relation.schema r) (Relation.schema p) in
-  let rprofs, pprofs = quotient_profiles r p in
+(* k = 2: one signature per distinct-profile pair, O(d_R·d_P·|Ω|) after
+   the encoding pass.  On two relations this plain scan is 1.5–2× faster
+   than the trie walk below on TPC-H joins 4 and 5 at scales 1 and 4
+   (EXPERIMENTS.md): the walk's suffix collapse and block cache only pay
+   off from the third relation on. *)
+let pair_scan omega dict r p =
+  let rprofs = stream_profiles dict r in
+  let pprofs = stream_profiles dict p in
+  let n_pairs = Array.length rprofs * Array.length pprofs in
+  Obs.Counter.add c_dict_values (Dict.size dict);
+  Obs.Counter.add c_profiles_r (Array.length rprofs);
+  Obs.Counter.add c_profiles_p (Array.length pprofs);
+  Obs.Counter.add c_profile_pairs n_pairs;
+  Obs.Counter.add c_pairs_skipped
+    ((Relation.cardinality r * Relation.cardinality p) - n_pairs);
   let acc = H.create 256 in
   Array.iter
     (fun a ->
@@ -216,150 +257,11 @@ let build_quotient r p =
             [| a.first_row; b.first_row |])
         pprofs)
     rprofs;
-  let sigs = H.fold (fun s (c, rep) l -> (s, c, rep) :: l) acc [] in
-  of_ksignature_list ~relations:[| r; p |] omega sigs
+  H.fold (fun s (c, rep) l -> (s, c, rep) :: l) acc []
 
-(* The default constructor is the quotient; [build_naive] remains the
-   differential oracle. *)
-let build r p = build_quotient r p
-
-(* Multicore quotient: partition the distinct R-*profiles* (not the raw
-   rows) across domains, each scanning every P-profile; merge per-domain
-   signature tables with the same min-rep rule as [build_quotient], so the
-   result is deterministic regardless of scheduling and identical to the
-   sequential builders.
-
-   Partitioning profiles rather than rows also removes the per-pair-bitset
-   minor-GC contention that used to make the row-parallel scan a net loss
-   on few-core machines: only d_R·d_P bitsets are allocated in total, the
-   same number the sequential quotient allocates.  The remaining trade-off
-   is the fixed spawn cost — for small d_R·d_P the sequential
-   [build_quotient] still wins; measure with `bench/main.exe universe`. *)
-let build_parallel ?domains r p =
-  Obs.span "universe.build_parallel" @@ fun () ->
-  let omega = Omega.of_schemas (Relation.schema r) (Relation.schema p) in
-  let rprofs, pprofs = quotient_profiles r p in
-  let dr = Array.length rprofs in
-  let domains =
-    match domains with
-    | Some d -> max 1 (min d dr)
-    | None -> max 1 (min (Domain.recommended_domain_count ()) dr)
-  in
-  let chunk = (dr + domains - 1) / domains in
-  let scan lo hi () =
-    let acc = H.create 256 in
-    for ai = lo to hi - 1 do
-      let a = rprofs.(ai) in
-      Array.iter
-        (fun b ->
-          merge_into acc
-            (Tsig.of_codes omega a.codes b.codes)
-            (a.multiplicity * b.multiplicity)
-            [| a.first_row; b.first_row |])
-        pprofs
-    done;
-    acc
-  in
-  let handles =
-    List.init domains (fun d ->
-        let lo = d * chunk in
-        let hi = min dr ((d + 1) * chunk) in
-        Domain.spawn (scan lo hi))
-  in
-  let merged = H.create 256 in
-  List.iter
-    (fun handle ->
-      let table = Domain.join handle in
-      H.iter (fun s (c, rep) -> merge_into merged s c rep) table)
-    handles;
-  let sigs = H.fold (fun s (c, rep) l -> (s, c, rep) :: l) merged [] in
-  of_ksignature_list ~relations:[| r; p |] omega sigs
-(* R11 waiver: this is the one sanctioned fork/join in the core — spawned
-   domains share nothing mutable, results merge deterministically, and
-   callers opt in explicitly ([build] stays sequential). *)
-[@@lint.allow "R11"]
-
-(* Approximate universe for products too large to scan (the paper's §1:
-   "the database instances may be too big to be skimmed"): draw [pairs]
-   uniform random tuple pairs instead of enumerating R × P.  Signatures
-   that never come up in the sample are invisible, so the inference result
-   is only guaranteed instance-equivalent on the sampled sub-product; rare
-   signatures (small join ratio contributions) are the ones at risk.
-
-   The representative of a class is the lexicographically smallest sampled
-   member ([rep_min], not keep-first-drawn): reps then depend only on the
-   sampled *set* of pairs, never on the order the PRNG produced them —
-   the same determinism contract [build]/[build_parallel] satisfy, and a
-   sample covering the whole product reproduces their universe exactly. *)
-let build_sampled prng ~pairs r p =
-  if pairs <= 0 then invalid_arg "Universe.build_sampled: need a positive sample size";
-  let nr = Relation.cardinality r and np = Relation.cardinality p in
-  if nr = 0 || np = 0 then invalid_arg "Universe.build_sampled: empty relation";
-  let omega = Omega.of_schemas (Relation.schema r) (Relation.schema p) in
-  let acc = H.create 256 in
-  for _ = 1 to pairs do
-    let i = Jqi_util.Prng.int prng nr and j = Jqi_util.Prng.int prng np in
-    let s = Tsig.of_tuples omega (Relation.row r i) (Relation.row p j) in
-    merge_into acc s 1 [| i; j |]
-  done;
-  let sigs = H.fold (fun s (c, rep) l -> (s, c, rep) :: l) acc [] in
-  of_ksignature_list ~relations:[| r; p |] omega sigs
-
-(* ---------------- k-ary construction (ROADMAP item 2) -------------- *)
-
-let c_kary_profiles = Obs.Counter.make "universe.kary_profiles"
-let c_kary_work = Obs.Counter.make "universe.kary_work"
-let c_kary_collapsed = Obs.Counter.make "universe.kary_collapsed"
-
-let kary_omega rels =
-  Omega.of_schemas_kary
-    (Array.to_list
-       (Array.map (fun r -> (Relation.name r, Relation.schema r)) rels))
-
-let check_kary ~entry rels =
-  let k = Array.length rels in
-  if k < 2 then invalid_arg (entry ^ ": need at least two relations");
-  Array.iter
-    (fun r ->
-      if Relation.cardinality r = 0 then
-        invalid_arg (entry ^ ": empty Cartesian product"))
-    rels
-
-(* The reference k-way scan: one [Tsig.of_ktuples] per raw tuple of
-   ∏ R_i — the executable definition of the k-ary universe and the
-   differential oracle for [build_kary].  Exponential in k; tests and
-   benches only. *)
-let build_kary_naive rels =
-  Obs.span "universe.build_kary_naive" @@ fun () ->
-  let rels = Array.of_list rels in
-  check_kary ~entry:"Universe.build_kary" rels;
-  let k = Array.length rels in
-  let omega = kary_omega rels in
-  let acc = H.create 256 in
-  let tuples = Array.make k (Relation.row rels.(0) 0) in
-  let rep = Array.make k 0 in
-  let rec scan d =
-    if Int.equal d k then begin
-      let s = Tsig.of_ktuples omega tuples in
-      match H.find_opt acc s with
-      | Some (c, r) -> H.replace acc s (c + 1, r)
-      | None -> H.replace acc s (1, Array.copy rep)
-    end
-    else
-      for i = 0 to Relation.cardinality rels.(d) - 1 do
-        tuples.(d) <- Relation.row rels.(d) i;
-        rep.(d) <- i;
-        scan (d + 1)
-      done
-  in
-  scan 0;
-  of_ksignature_list ~relations:rels omega
-    (H.fold (fun s (c, r) l -> (s, c, r) :: l) acc [])
-
-(* K-ary quotient: profile grouping per relation (as in the binary
-   quotient), then a trie walk over distinct-profile k-tuples in the
-   leapfrog spirit — relations are levels, profiles are keys, and whole
-   subtrees collapse instead of being enumerated.  Two collapses apply:
+(* k ≥ 3: a trie walk over distinct-profile k-tuples in the leapfrog
+   spirit — relations are levels, profiles are keys, and whole subtrees
+   collapse instead of being enumerated.  Two collapses apply:
 
    1. Profile quotient: ∏|R_i| raw tuples shrink to at most ∏ d_i
       distinct-profile combinations, each merged with the product of the
@@ -378,26 +280,12 @@ let build_kary_naive rels =
    every branch — this is where the "pairwise binary composition" reuse
    lives.
 
-   Identical to [build_kary_naive] by the same argument as the binary
-   quotient: same classes and counts by construction, and representatives
-   are min-merged lexicographically smallest row vectors.  For k = 2 the
-   walk degenerates to the profile-pair scan and the result is
-   byte-identical to [build] (asserted in test/test_kary.ml).
-
    [limit] bounds the number of class merges (the unit of real work); a
    walk exceeding it raises [Kary_too_large] — the typed refusal for
    products whose quotient is still too big. *)
-let default_kary_limit = 20_000_000
-
-let build_kary ?(limit = default_kary_limit) rels =
-  Obs.span "universe.build_kary" @@ fun () ->
-  let rels = Array.of_list rels in
-  check_kary ~entry:"Universe.build_kary" rels;
+let trie_walk ~limit omega dict rels =
   let k = Array.length rels in
-  let omega = kary_omega rels in
   let width = Omega.width omega in
-  let total_rows = Array.fold_left (fun s r -> s + Relation.cardinality r) 0 rels in
-  let dict = Dict.create ~size:total_rows () in
   let profs = Array.map (fun r -> stream_profiles dict r) rels in
   Array.iter (fun ps -> Obs.Counter.add c_kary_profiles (Array.length ps)) profs;
   (* Which codes appear anywhere in each relation. *)
@@ -517,13 +405,42 @@ let build_kary ?(limit = default_kary_limit) rels =
     suffix.(m) <- H.fold (fun s (c, rep) l -> (s, c, rep) :: l) acc []
   done;
   Obs.Counter.add c_kary_work !work;
-  of_ksignature_list ~relations:rels omega suffix.(0)
+  suffix.(0)
 
-(* K-ary [build_sampled]: draw [tuples] uniform random row vectors.  On
-   k = 2 it draws the same PRNG sequence as [build_sampled], so the two
-   agree given equal seeds.  Like every sampling entry point it depends
-   only on the sampled set (min-rep merge), never on draw order. *)
-let build_sampled_kary prng ~tuples rels =
+(* The one exact builder, for every arity: intern all relations into one
+   dictionary, then the pair scan on k = 2 and the trie walk beyond. *)
+let default_kary_limit = 20_000_000
+
+let build_kary ?(limit = default_kary_limit) rels =
+  Obs.span "universe.build_kary" @@ fun () ->
+  let rels = Array.of_list rels in
+  check_rels ~entry:"Universe.build_kary" rels;
+  let omega = omega_of rels in
+  let total_rows = Array.fold_left (fun s r -> s + Relation.cardinality r) 0 rels in
+  let dict = Dict.create ~size:total_rows () in
+  let sigs =
+    if Int.equal (Array.length rels) 2 then pair_scan omega dict rels.(0) rels.(1)
+    else trie_walk ~limit omega dict rels
+  in
+  of_ksignature_list ~relations:rels omega sigs
+
+let build r p = build_kary [ r; p ]
+
+(* Approximate universe for products too large to scan (the paper's §1:
+   "the database instances may be too big to be skimmed"): draw [tuples]
+   uniform random row vectors — one row index per relation, in relation
+   order — instead of enumerating the product.  Signatures that never
+   come up in the sample are invisible, so the inference result is only
+   guaranteed instance-equivalent on the sampled sub-product; rare
+   signatures (small join ratio contributions) are the ones at risk.
+
+   The representative of a class is the lexicographically smallest
+   sampled member ([rep_min], not keep-first-drawn): reps then depend
+   only on the sampled *set* of vectors, never on the order the PRNG
+   produced them — the same determinism contract [build_kary] satisfies,
+   and a sample covering the whole product reproduces its universe
+   exactly. *)
+let build_sampled prng ~tuples rels =
   if tuples <= 0 then invalid_arg "Universe.build_sampled: need a positive sample size";
   let rels = Array.of_list rels in
   let k = Array.length rels in
@@ -534,7 +451,7 @@ let build_sampled_kary prng ~tuples rels =
         invalid_arg "Universe.build_sampled: empty relation")
     rels;
   let ns = Array.map Relation.cardinality rels in
-  let omega = kary_omega rels in
+  let omega = omega_of rels in
   let acc = H.create 256 in
   let row_tuples = Array.make k (Relation.row rels.(0) 0) in
   for _ = 1 to tuples do
@@ -789,24 +706,10 @@ let cls t i = t.classes.(i)
 let total_tuples t = t.total
 let n_relations t = Omega.n_relations t.omega
 
-let relations t =
-  match t.relations with
-  | Some rels when Int.equal (Array.length rels) 2 -> Some (rels.(0), rels.(1))
-  | Some _ | None -> None
-
 let relation_array t = Option.map Array.copy t.relations
 
 let signature t i = t.classes.(i).signature
 let count t i = t.classes.(i).count
-
-(* The representative tuple of a class, when the universe was built from
-   actual relations (interactive CLI display). *)
-let representative t i =
-  match t.relations with
-  | Some rels when Int.equal (Array.length rels) 2 ->
-      let rep = t.classes.(i).rep in
-      Some (Relation.row rels.(0) rep.(0), Relation.row rels.(1) rep.(1))
-  | Some _ | None -> None
 
 let representative_rows t i =
   match t.relations with

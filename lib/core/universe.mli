@@ -15,78 +15,51 @@ type cls = {
 
 type t
 
-(** Raised by {!build_kary} when the distinct-profile walk exceeds its
-    work limit — the typed refusal for products whose quotient is still
+(** Raised by {!build_kary} when the distinct-profile walk (k ≥ 3)
+    exceeds its work limit — the typed refusal for products whose quotient is still
     too large to enumerate. *)
 exception Kary_too_large of { work : int; limit : int }
 
-(** Build the quotient of R × P.  The default constructor — an alias for
-    {!build_quotient}.  Raises [Invalid_argument] on an empty product. *)
+(** The universe of D = R_0 × … × R_{k-1} for any k ≥ 2, with
+    signatures over every cross-relation attribute pair
+    ({!Omega.of_schemas_kary} layout over the relations' names; on k = 2
+    bit positions and printed predicates are the binary ones).
+
+    The one exact builder.  Every cell is interned into a shared
+    {!Jqi_relational.Dict} code space and rows are grouped by code
+    vector; then k = 2 scans the distinct-profile pairs, O(d_R·d_P·|Ω|)
+    after an O(rows·arity) encoding pass (d = distinct-profile count),
+    and k ≥ 3 walks a trie over distinct-profile k-tuples that folds
+    disconnected suffixes in whole and caches pairwise block signatures.
+    Identical output to {!build_naive} / {!build_kary_naive}: same
+    classes and counts, and each representative is the lexicographically
+    smallest member row vector of its class.  Raises {!Kary_too_large}
+    when the k ≥ 3 walk exceeds [limit] (default 2·10⁷) class merges, and
+    [Invalid_argument] on fewer than two relations or an empty product. *)
+val build_kary : ?limit:int -> Jqi_relational.Relation.t list -> t
+
+(** [build r p] is [build_kary [r; p]]. *)
 val build : Jqi_relational.Relation.t -> Jqi_relational.Relation.t -> t
 
 (** The reference per-pair scan: one [Tsig.of_tuples] call per tuple of
     R × P, O(|R|·|P|·|Ω|).  Kept as the executable definition and the
-    differential oracle for the quotient builders, which must produce
-    identical universes (classes, counts and representatives). *)
+    differential oracle for {!build_kary} on two relations. *)
 val build_naive : Jqi_relational.Relation.t -> Jqi_relational.Relation.t -> t
-
-(** Profile-quotient construction: interns every cell of both relations
-    into a shared {!Jqi_relational.Dict} code space, groups rows by code
-    vector, and computes one signature per distinct-profile *pair* with
-    multiplicity |profile_R| × |profile_P| — O(d_R·d_P·|Ω|) signature work
-    after an O((|R|+|P|)·arity) encoding pass, where d is the
-    distinct-profile count.  Identical output to {!build_naive};
-    representatives are the lexicographically smallest member pair of each
-    class. *)
-val build_quotient :
-  Jqi_relational.Relation.t -> Jqi_relational.Relation.t -> t
-
-(** Multicore {!build_quotient}: the distinct R-profiles are partitioned
-    across [domains] (default [Domain.recommended_domain_count ()]);
-    produces a universe identical to the sequential builders regardless of
-    scheduling.  Worthwhile once d_R·d_P is large enough to amortize the
-    domain-spawn cost — `bench/main.exe universe` measures the crossover. *)
-val build_parallel :
-  ?domains:int -> Jqi_relational.Relation.t -> Jqi_relational.Relation.t -> t
-
-(** Approximate universe for products too large to scan: [pairs] uniform
-    random tuple pairs instead of the full R × P.  Signatures absent from
-    the sample are invisible, so inference is only guaranteed
-    instance-equivalent on the sampled sub-product.  Representatives are
-    the lexicographically smallest {e sampled} member of each class, so
-    the result depends only on the sampled set, not the PRNG draw order. *)
-val build_sampled :
-  Jqi_util.Prng.t -> pairs:int ->
-  Jqi_relational.Relation.t -> Jqi_relational.Relation.t -> t
-
-(** {2 K-ary construction}
-
-    The universe of D = R_0 × … × R_{k-1} with signatures over every
-    cross-relation attribute pair ({!Omega.create_kary} layout).  On two
-    relations all of these agree byte-for-byte with their binary
-    counterparts. *)
-
-(** K-ary quotient: per-relation profile grouping, then a trie walk over
-    distinct-profile k-tuples in the leapfrog spirit — whole suffix
-    subtrees that can contribute no further cross bits are folded in via
-    precomputed suffix universes instead of being enumerated, and
-    pairwise block signatures are cached per profile pair.  Identical
-    output to {!build_kary_naive}; byte-identical to {!build} on k = 2.
-    Raises {!Kary_too_large} when the walk exceeds [limit] (default
-    2·10⁷) class merges, and [Invalid_argument] on fewer than two
-    relations or an empty product. *)
-val build_kary : ?limit:int -> Jqi_relational.Relation.t list -> t
 
 (** The reference k-way scan — one signature per raw tuple of ∏ R_i.
     Exponential; the differential oracle for {!build_kary}. *)
 val build_kary_naive : Jqi_relational.Relation.t list -> t
 
-(** K-ary {!build_sampled}: [tuples] uniform random row vectors.  On two
-    relations it draws the same PRNG sequence as [build_sampled], so the
-    two agree given equal seeds.  Raises [Invalid_argument] on a
-    non-positive sample size, fewer than two relations, or an empty
-    relation. *)
-val build_sampled_kary :
+(** Approximate universe for products too large to scan: [tuples]
+    uniform random row vectors (one index per relation, drawn in
+    relation order) instead of the full product.  Signatures absent from
+    the sample are invisible, so inference is only guaranteed
+    instance-equivalent on the sampled sub-product.  Representatives are
+    the lexicographically smallest {e sampled} member of each class, so
+    the result depends only on the sampled set, not the PRNG draw order.
+    Raises [Invalid_argument] on a non-positive sample size, fewer than
+    two relations, or an empty relation. *)
+val build_sampled :
   Jqi_util.Prng.t -> tuples:int -> Jqi_relational.Relation.t list -> t
 
 (** Assemble a binary universe directly from (signature, multiplicity,
@@ -116,7 +89,7 @@ val of_ksignature_list :
     new one, and representatives are kept lexicographically smallest by
     min-merge — with a targeted repair pass when a deletion hits a
     representative row.  The result is {e byte-identical} to a
-    from-scratch {!build}/{!build_kary} over the post-delta relations
+    from-scratch {!build_kary} over the post-delta relations
     (same classes, counts and representatives; pinned differentially in
     test/test_churn.ml), at a per-batch cost proportional to the
     changed rows' profile combinations rather than the whole product —
@@ -144,22 +117,11 @@ val total_tuples : t -> int
 (** Number of relations k of the underlying Ω. *)
 val n_relations : t -> int
 
-(** The relation pair, when the universe is binary (k = 2) and was built
-    from actual relations; [None] on k-ary universes. *)
-val relations :
-  t -> (Jqi_relational.Relation.t * Jqi_relational.Relation.t) option
-
 (** All k relations, when the universe was built from actual relations. *)
 val relation_array : t -> Jqi_relational.Relation.t array option
 
 val signature : t -> int -> Jqi_util.Bits.t
 val count : t -> int -> int
-
-(** Representative tuple pair of a class, when the universe is binary and
-    was built from actual relations; [None] on k-ary universes (use
-    {!representative_rows}). *)
-val representative :
-  t -> int -> (Jqi_relational.Tuple.t * Jqi_relational.Tuple.t) option
 
 (** Representative tuples of a class, one per relation, when the universe
     was built from actual relations. *)

@@ -2,7 +2,7 @@
 
    Universe construction is the expensive part of opening a session — the
    profile-quotient scan touches every row of both relations — so it is
-   memoized per relation pair.  The key is the pair of content
+   memoized per relation list.  The key is the list of content
    fingerprints, not the names: re-registering "flights" with new rows
    yields a different fingerprint and a fresh build, while two differently
    registered names over identical content share one universe.
@@ -69,9 +69,8 @@ let names t =
     (with_names t (fun () ->
          Hashtbl.fold (fun name _ acc -> name :: acc) t.relations []))
 
-(* One cache serves both arities: the key is the colon-joined fingerprint
-   list, and a binary list builds via [Universe.build] (byte-identical to
-   [Universe.build_kary] on two relations, so mixed lookups are safe). *)
+(* One cache serves every arity: the key is the colon-joined fingerprint
+   list, and [Universe.build_kary] picks the builder for the arity. *)
 let universe_list t rels =
   let key = String.concat ":" (List.map Relation.fingerprint rels) in
   Shard.with_key t.shards key (fun shard ->
@@ -85,14 +84,10 @@ let universe_list t rels =
           Obs.Counter.incr c_miss;
           let u =
             Obs.span ~attrs:[ ("key", key) ] "server.universe_build" (fun () ->
-                match rels with
-                | [ r; p ] -> Universe.build r p
-                | _ -> Universe.build_kary rels)
+                Universe.build_kary rels)
           in
           Hashtbl.replace shard.universes key u;
           (false, u))
-
-let universe t r p = universe_list t [ r; p ]
 
 (* ---- delta-granularity invalidation ---- *)
 

@@ -2,14 +2,14 @@
     for concurrent use.
 
     The catalog names the relations a server may open sessions over, and
-    memoizes [Universe.build] per relation *pair*, keyed by the two
+    memoizes [Universe.build_kary] per relation list, keyed by the
     {!Jqi_relational.Relation.fingerprint}s.  N sessions over the same
-    CSV pair build Ω once; re-registering a relation with different
+    CSV files build Ω once; re-registering a relation with different
     contents changes its fingerprint and naturally misses the cache.
 
     Every operation is safe to call from any domain.  The universe cache
     is hashed across shards (one mutex each); a build holds only its own
-    shard's lock, and two concurrent misses on the same pair perform
+    shard's lock, and two concurrent misses on the same list perform
     exactly one build.
 
     Cache traffic is observable twice over: the plain {!stats} counters
@@ -35,17 +35,11 @@ val find : t -> string -> Jqi_relational.Relation.t option
 (** Registered names, sorted. *)
 val names : t -> string list
 
-(** The universe of R × P, built on first use and cached by content
-    fingerprint.  The flag is [true] on a cache hit (the build was
-    skipped). *)
-val universe :
-  t -> Jqi_relational.Relation.t -> Jqi_relational.Relation.t ->
-  bool * Jqi_core.Universe.t
-
-(** K-ary {!universe}: the cache key is the colon-joined fingerprint
-    list; two relations build via [Universe.build], more via
-    [Universe.build_kary] (byte-identical on k = 2, so binary and k-ary
-    lookups share entries).  Build errors ([Invalid_argument],
+(** The universe of the relations' product, built on first use by
+    [Universe.build_kary] and cached by content fingerprint: the key is
+    the colon-joined fingerprint list, so a binary session is the
+    two-element case.  The flag is [true] on a cache hit (the build was
+    skipped).  Build errors ([Invalid_argument],
     [Universe.Kary_too_large]) propagate to the caller. *)
 val universe_list :
   t -> Jqi_relational.Relation.t list -> bool * Jqi_core.Universe.t

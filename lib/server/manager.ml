@@ -264,7 +264,20 @@ let open_list t ~relations ~strategy =
                    ~strategy_name:(Strategy.name strat) ~universe ~cache_hit
                    ~resumed:false engine)))
 
-let open_session t ~r ~p ~strategy = open_list t ~relations:[ r; p ] ~strategy
+(* Load a session document and locate its in-flight question, mapping
+   the two ways [Session] refuses a document onto typed errors.  The
+   persisted pending signature, when present, is authoritative. *)
+let thaw load universe =
+  match
+    let loaded = load universe in
+    ( loaded,
+      Session.pending_class ?signature:loaded.Session.pending_sig universe
+        loaded.Session.state loaded.Session.pending )
+  with
+  | thawed -> Ok thawed
+  | exception Session.Corrupt msg -> Error (Corrupt_session msg)
+  | exception Session.Stale_label { signature; label } ->
+      Error (Stale_label (stale_doc_message signature label))
 
 let resume_list t ~relations ?strategy doc =
   Obs.span ~attrs:(span_attrs relations) "server.resume" (fun () ->
@@ -272,11 +285,9 @@ let resume_list t ~relations ?strategy doc =
       | Error e -> Error e
       | Ok rels -> (
           let cache_hit, universe = Catalog.universe_list t.catalog rels in
-          match Session.of_json_full universe doc with
-          | exception Session.Corrupt msg -> Error (Corrupt_session msg)
-          | exception Session.Stale_label { signature; label } ->
-              Error (Stale_label (stale_doc_message signature label))
-          | loaded -> (
+          match thaw (fun u -> Session.of_json_full u doc) universe with
+          | Error e -> Error e
+          | Ok (loaded, pending) -> (
               let strategy_name =
                 match (strategy, loaded.Session.strategy) with
                 | Some s, _ -> s
@@ -285,27 +296,16 @@ let resume_list t ~relations ?strategy doc =
               in
               match Strategy.of_name ~seed:t.seed strategy_name with
               | None -> Error (Unknown_strategy strategy_name)
-              | Some strat -> (
-                  match
-                    Session.pending_class
-                      ?signature:loaded.Session.pending_sig universe
-                      loaded.Session.state loaded.Session.pending
-                  with
-                  | exception Session.Stale_label { signature; label } ->
-                      Error (Stale_label (stale_doc_message signature label))
-                  | pending ->
-                      let engine =
-                        Engine.create ~state:loaded.Session.state ?pending
-                          universe strat
-                      in
-                      Obs.Counter.incr c_resumed;
-                      Ok
-                        (register t ~rel_names:relations
-                           ~strategy_name:(Strategy.name strat) ~universe
-                           ~cache_hit ~resumed:true engine)))))
-
-let resume_session t ~r ~p ?strategy doc =
-  resume_list t ~relations:[ r; p ] ?strategy doc
+              | Some strat ->
+                  let engine =
+                    Engine.create ~state:loaded.Session.state ?pending universe
+                      strat
+                  in
+                  Obs.Counter.incr c_resumed;
+                  Ok
+                    (register t ~rel_names:relations
+                       ~strategy_name:(Strategy.name strat) ~universe ~cache_hit
+                       ~resumed:true engine))))
 
 (* Run [f] on the live session [id] under its shard's lock, stamping the
    idle clock.  All reads and writes of a session happen inside this. *)

@@ -41,7 +41,7 @@ type error =
 
 val error_message : error -> string
 
-(** What [open_session]/[resume_session] report back. *)
+(** What {!open_list}/{!resume_list} report back. *)
 type info = {
   id : string;
   rel_names : string list;  (** catalog names, in relation order *)
@@ -94,33 +94,32 @@ val load : t -> name:string -> string -> Jqi_relational.Relation.t
 (** Number of session shards. *)
 val shards : t -> int
 
-(** Open a fresh session over two catalog relations with a strategy
-    named as in [Strategy.of_name].  Equivalent to {!open_list} over the
-    two-element relation list. *)
-val open_session :
-  t -> r:string -> p:string -> strategy:string -> (info, error) result
-
-(** Open a fresh session over [relations] catalog names, in order.  Two
-    names give the classic binary session; three or more build a k-ary
-    quotient universe via [Universe.build_kary].  Build errors
-    ([Invalid_argument] on degenerate lists, [Universe.Kary_too_large])
-    propagate to the caller. *)
+(** Open a fresh session over [relations] catalog names, in order, with
+    a strategy named as in [Strategy.of_name].  Two names give the
+    classic binary session.  Build errors ([Invalid_argument] on
+    degenerate lists, [Universe.Kary_too_large]) propagate to the
+    caller. *)
 val open_list :
   t -> relations:string list -> strategy:string -> (info, error) result
 
-(** Thaw a [Session] document (v1 or v2) into a live session.
+(** Thaw a [Session] document (v3 for k > 2, any version for two
+    relations) into a live session over [relations] catalog names.
     [strategy] overrides the persisted strategy name; without either the
     default is td.  A persisted in-flight question is re-presented when
     it is still informative. *)
-val resume_session :
-  t -> r:string -> p:string -> ?strategy:string -> Jqi_util.Json.t ->
-  (info, error) result
-
-(** K-ary {!resume_session}: thaw a session document (v3 for k > 2, any
-    version for two relations) over [relations] catalog names. *)
 val resume_list :
   t -> relations:string list -> ?strategy:string -> Jqi_util.Json.t ->
   (info, error) result
+
+(** [thaw load universe] loads a session document with [load] (e.g.
+    [Session.load_full path]) and locates its in-flight question via
+    [Session.pending_class], the document's pending signature taking
+    precedence over its rows.  [Session.Corrupt] becomes
+    [Corrupt_session] and [Session.Stale_label] becomes [Stale_label] —
+    the errors {!resume_list} answers with. *)
+val thaw :
+  (Jqi_core.Universe.t -> Jqi_core.Session.loaded) -> Jqi_core.Universe.t ->
+  (Jqi_core.Session.loaded * int option, error) result
 
 val ask : t -> string -> (turn, error) result
 (** Fails with [Stale_label] on a session flagged stale by
@@ -177,7 +176,7 @@ val sweep : t -> string list
 
 (** The autosaved document of an evicted session, if still retained
     (the per-shard store is bounded; oldest entries fall out first).
-    Feed it to {!resume_session} to pick up where the evictee left
+    Feed it to {!resume_list} to pick up where the evictee left
     off. *)
 val evicted_doc : t -> string -> Jqi_util.Json.t option
 

@@ -32,6 +32,24 @@ let opened (info : Manager.info) =
       cache_hit = info.Manager.cache_hit;
     }
 
+(* Every open and resume, classic or k-ary, is one [Manager] call over a
+   relation list; build refusals become typed error frames. *)
+let open_or_resume f =
+  match f () with
+  | exception Invalid_argument message ->
+      Protocol.Error { code = "invalid"; message }
+  | exception Universe.Kary_too_large { work; limit } ->
+      Protocol.Error
+        {
+          code = "too_large";
+          message =
+            Printf.sprintf
+              "k-ary universe too large: %d work units exceeds limit %d" work
+              limit;
+        }
+  | Ok info -> opened info
+  | Error e -> error e
+
 let cells tuple = List.map Value.to_string (Tuple.to_list tuple)
 
 (* Binary sessions keep the historical [Question] frame byte-for-byte;
@@ -124,12 +142,11 @@ let handle manager request =
       | exception Invalid_argument message ->
           Protocol.Error { code = "csv"; message }
       | rel -> Protocol.Loaded { name; rows = Relation.cardinality rel })
-  | Protocol.Open_session { r; p; strategy } -> (
-      match Manager.open_session manager ~r ~p ~strategy with
-      | exception Invalid_argument message ->
-          Protocol.Error { code = "invalid"; message }
-      | Ok info -> opened info
-      | Error e -> error e)
+  | Protocol.Open_session { r; p; strategy } ->
+      open_or_resume (fun () ->
+          Manager.open_list manager ~relations:[ r; p ] ~strategy)
+  | Protocol.Open_kary { relations; strategy } ->
+      open_or_resume (fun () -> Manager.open_list manager ~relations ~strategy)
   | Protocol.Ask { session } -> (
       match Manager.ask manager session with
       | Ok turn -> render_turn manager session turn
@@ -142,42 +159,12 @@ let handle manager request =
       match Manager.save manager session with
       | Ok doc -> Protocol.Saved { session; doc }
       | Error e -> error e)
-  | Protocol.Resume { r; p; strategy; doc } -> (
-      match Manager.resume_session manager ~r ~p ?strategy doc with
-      | exception Invalid_argument message ->
-          Protocol.Error { code = "invalid"; message }
-      | Ok info -> opened info
-      | Error e -> error e)
-  | Protocol.Open_kary { relations; strategy } -> (
-      match Manager.open_list manager ~relations ~strategy with
-      | exception Invalid_argument message ->
-          Protocol.Error { code = "invalid"; message }
-      | exception Universe.Kary_too_large { work; limit } ->
-          Protocol.Error
-            {
-              code = "too_large";
-              message =
-                Printf.sprintf
-                  "k-ary universe too large: %d work units exceeds limit %d"
-                  work limit;
-            }
-      | Ok info -> opened info
-      | Error e -> error e)
-  | Protocol.Resume_kary { relations; strategy; doc } -> (
-      match Manager.resume_list manager ~relations ?strategy doc with
-      | exception Invalid_argument message ->
-          Protocol.Error { code = "invalid"; message }
-      | exception Universe.Kary_too_large { work; limit } ->
-          Protocol.Error
-            {
-              code = "too_large";
-              message =
-                Printf.sprintf
-                  "k-ary universe too large: %d work units exceeds limit %d"
-                  work limit;
-            }
-      | Ok info -> opened info
-      | Error e -> error e)
+  | Protocol.Resume { r; p; strategy; doc } ->
+      open_or_resume (fun () ->
+          Manager.resume_list manager ~relations:[ r; p ] ?strategy doc)
+  | Protocol.Resume_kary { relations; strategy; doc } ->
+      open_or_resume (fun () ->
+          Manager.resume_list manager ~relations ?strategy doc)
   | Protocol.Delta { relation; insert; delete } -> (
       match Catalog.find (Manager.catalog manager) relation with
       | None -> error (Manager.Unknown_relation relation)

@@ -79,7 +79,7 @@ let test_hybrid_matches_l2s_after_positive () =
 
 let test_sampled_universe_shape () =
   let prng = Prng.create 3 in
-  let u = Universe.build_sampled prng ~pairs:500 r0 p0 in
+  let u = Universe.build_sampled prng ~tuples:500 [ r0; p0 ] in
   Alcotest.(check int) "total = sample size" 500 (Universe.total_tuples u);
   (* With 500 draws over a 12-tuple product every signature shows up. *)
   Alcotest.(check int) "all signatures seen" (Universe.n_classes universe0)
@@ -93,7 +93,7 @@ let test_sampled_universe_shape () =
 
 let test_sampled_universe_inference () =
   let prng = Prng.create 9 in
-  let u = Universe.build_sampled prng ~pairs:400 r0 p0 in
+  let u = Universe.build_sampled prng ~tuples:400 [ r0; p0 ] in
   let goal = pred0 [ (0, 0); (1, 2) ] in
   let result = Inference.run u Strategy.td (Oracle.honest ~goal) in
   Alcotest.(check bool) "equivalent on the sampled universe" true
@@ -102,7 +102,7 @@ let test_sampled_universe_inference () =
 let test_sampled_universe_validation () =
   let prng = Prng.create 1 in
   Alcotest.(check bool) "zero pairs rejected" true
-    (try ignore (Universe.build_sampled prng ~pairs:0 r0 p0); false
+    (try ignore (Universe.build_sampled prng ~tuples:0 [ r0; p0 ]); false
      with Invalid_argument _ -> true)
 
 (* ----------------------------- QBE -------------------------------- *)

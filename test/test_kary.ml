@@ -3,10 +3,10 @@
    every candidate variable ordering) must agree with the left-deep
    pairwise composition and with the never-optimized nested-loop oracle
    on result multisets; [Universe.build_kary] must reproduce
-   [Universe.build_kary_naive] exactly, degenerate byte-identically to
-   [Universe.build] on two relations, and refuse oversized walks with
-   the typed [Kary_too_large]; sampled k-ary universes must depend only
-   on the seed and collapse to [build_sampled] on k = 2. *)
+   [Universe.build_kary_naive] exactly, agree with the binary oracle
+   [Universe.build_naive] on two relations, and refuse oversized walks
+   with the typed [Kary_too_large]; sampled universes must depend only
+   on the seed and, on k = 2, keep the historical pair-by-pair draw. *)
 
 module Bits = Jqi_util.Bits
 module Prng = Jqi_util.Prng
@@ -237,13 +237,13 @@ let qcheck_kary_quotient_equals_naive =
       universes_agree (Universe.build_kary_naive rels) (Universe.build_kary rels))
 
 let qcheck_k2_is_binary_build =
-  QCheck.Test.make ~name:"k = 2 build_kary = Universe.build (byte identity)"
+  QCheck.Test.make ~name:"k = 2 build_kary = Universe.build_naive (byte identity)"
     ~count:250
     (arb_instance ~min_k:2 ~max_k:2 ~max_rows:6)
     (fun rowss ->
       match relations_of rowss with
       | [ r; p ] ->
-          let b = Universe.build r p and k = Universe.build_kary [ r; p ] in
+          let b = Universe.build_naive r p and k = Universe.build_kary [ r; p ] in
           universes_agree b k
           && Int.equal
                (Omega.width (Universe.omega b))
@@ -256,19 +256,40 @@ let qcheck_sampled_kary_deterministic =
     (arb_instance ~min_k:2 ~max_k:3 ~max_rows:4)
     (fun rowss ->
       let rels = relations_of rowss in
-      let u1 = Universe.build_sampled_kary (Prng.create 7) ~tuples:20 rels in
-      let u2 = Universe.build_sampled_kary (Prng.create 7) ~tuples:20 rels in
+      let u1 = Universe.build_sampled (Prng.create 7) ~tuples:20 rels in
+      let u2 = Universe.build_sampled (Prng.create 7) ~tuples:20 rels in
       universes_agree u1 u2)
 
+(* On two relations the sampler draws (i, j) pairs, R's row first, so a
+   seed names the same sample it always did: rebuild that sample by hand
+   (sorted, so keep-first is keep-smallest) and compare. *)
 let qcheck_sampled_k2_matches_binary =
-  QCheck.Test.make ~name:"k = 2 build_sampled_kary = build_sampled" ~count:100
+  QCheck.Test.make ~name:"k = 2 build_sampled_kary = build_sampled pair draw"
+    ~count:100
     (arb_instance ~min_k:2 ~max_k:2 ~max_rows:4)
     (fun rowss ->
       match relations_of rowss with
       | [ r; p ] ->
+          let prng = Prng.create 11 in
+          let pairs =
+            List.init 15 (fun _ ->
+                let i = Prng.int prng (Relation.cardinality r) in
+                let j = Prng.int prng (Relation.cardinality p) in
+                (i, j))
+          in
+          let omega = Universe.omega (Universe.build_naive r p) in
+          let by_pair =
+            List.map
+              (fun (i, j) ->
+                ( Jqi_core.Tsig.of_tuples omega (Relation.row r i)
+                    (Relation.row p j),
+                  1,
+                  (i, j) ))
+              (List.sort compare pairs)
+          in
           universes_agree
-            (Universe.build_sampled (Prng.create 11) ~pairs:15 r p)
-            (Universe.build_sampled_kary (Prng.create 11) ~tuples:15 [ r; p ])
+            (Universe.of_signature_list ~relations:(r, p) omega by_pair)
+            (Universe.build_sampled (Prng.create 11) ~tuples:15 [ r; p ])
       | _ -> false)
 
 let test_kary_too_large () =
@@ -295,11 +316,11 @@ let test_kary_validation () =
     | _ -> false
     | exception Invalid_argument _ -> true);
   Alcotest.(check bool) "sampled: fewer than two relations" true
-    (match Universe.build_sampled_kary (Prng.create 1) ~tuples:5 [ r ] with
+    (match Universe.build_sampled (Prng.create 1) ~tuples:5 [ r ] with
     | _ -> false
     | exception Invalid_argument _ -> true);
   Alcotest.(check bool) "sampled: non-positive sample" true
-    (match Universe.build_sampled_kary (Prng.create 1) ~tuples:0 [ r; r ] with
+    (match Universe.build_sampled (Prng.create 1) ~tuples:0 [ r; r ] with
     | _ -> false
     | exception Invalid_argument _ -> true)
 

@@ -1,6 +1,6 @@
 (* The lookahead acceleration layer, gated end-to-end by a differential
    oracle: the fast engine (incremental certainty views, canonical-state
-   memoization, skyline pruning, optional domain fan-out) must return the
+   memoization, skyline pruning) must return the
    same entropies and make the same choices as [Entropy.reference_k], the
    direct transcription of Algorithms 4/5, on randomized universes — plus
    seeded regressions pinning the paper's Figure 5 and §4.4 values. *)
@@ -16,6 +16,7 @@ module Strategy = Jqi_core.Strategy
 module Oracle = Jqi_core.Oracle
 module Inference = Jqi_core.Inference
 module Minimax = Jqi_core.Minimax
+module Obs = Jqi_obs.Obs
 
 (* ------------------------------------------------------------------ *)
 (* Random-universe scenarios.                                          *)
@@ -126,6 +127,56 @@ let strategy_choices_match_reference =
         (fun k -> trace (Strategy.lks k) u goal = trace (Strategy.lks_reference k) u goal)
         [ 1; 2 ])
 
+(* The same differential on three-relation universes from
+   [Universe.build_kary]: Ω spans three blocks and classes carry row
+   triples, which the binary scenarios above never produce. *)
+let gen_kary_rows =
+  QCheck.Gen.(
+    let relation =
+      let* arity = int_range 1 2 in
+      list_size (int_range 1 3) (list_repeat arity (int_bound 2))
+    in
+    let* rels = list_repeat 3 relation in
+    let* pick = int_bound 64 in
+    return (rels, pick))
+
+let kary_universe rels =
+  let module Relation = Jqi_relational.Relation in
+  let module Schema = Jqi_relational.Schema in
+  let module Tuple = Jqi_relational.Tuple in
+  Universe.build_kary
+    (List.mapi
+       (fun d rows ->
+         let tuples = List.map Tuple.ints rows in
+         let arity = match tuples with t :: _ -> Tuple.arity t | [] -> 1 in
+         Relation.of_list
+           ~name:(Printf.sprintf "r%d" d)
+           ~schema:
+             (Schema.of_names ~ty:Jqi_relational.Value.TInt
+                (List.init arity (Printf.sprintf "r%d_%d" d)))
+           tuples)
+       rels)
+
+let kary_choices_match_reference =
+  QCheck.Test.make ~name:"k-ary LkS runs = reference LkS runs (k=1,2)"
+    ~count:80
+    (QCheck.make gen_kary_rows ~print:(fun (rels, pick) ->
+         Printf.sprintf "pick=%d rels=[%s]" pick
+           (String.concat " | "
+              (List.map
+                 (fun rows ->
+                   String.concat ";"
+                     (List.map
+                        (fun row -> String.concat "," (List.map string_of_int row))
+                        rows))
+                 rels))))
+    (fun (rels, pick) ->
+      let u = kary_universe rels in
+      let goal = Universe.signature u (pick mod Universe.n_classes u) in
+      List.for_all
+        (fun k -> trace (Strategy.lks k) u goal = trace (Strategy.lks_reference k) u goal)
+        [ 1; 2 ])
+
 (* ------------------------------------------------------------------ *)
 (* Canonicalization: idempotence and state-equivalence.                *)
 (* ------------------------------------------------------------------ *)
@@ -209,75 +260,25 @@ let view_matches_rescan =
       in
       check (State.view st) extras)
 
-(* ------------------------------------------------------------------ *)
-(* Parallel determinism.                                               *)
-(* ------------------------------------------------------------------ *)
-
-(* Candidate scoring fanned out over 2 and 4 domains yields byte-identical
-   inference traces to the sequential fast run (deterministic tie-breaking
-   by class index), which is itself trace-identical to the reference. *)
-let parallel_scoring_deterministic =
-  QCheck.Test.make ~name:"lks_par traces = sequential traces" ~count:40
-    arb_scenario (fun sc ->
-      let omega, u = universe_of_scenario sc in
-      let goal = bits_of_mask (Omega.width omega) sc.goal in
-      let sequential = trace (Strategy.lks 2) u goal in
-      List.for_all
-        (fun domains -> trace (Strategy.lks_par ~domains 2) u goal = sequential)
-        [ 1; 2; 4 ])
-
-let check_same_universe u1 u2 =
-  Alcotest.(check int) "same class count" (Universe.n_classes u1)
-    (Universe.n_classes u2);
-  for i = 0 to Universe.n_classes u1 - 1 do
-    Alcotest.check bits_testable "same signature" (Universe.signature u1 i)
-      (Universe.signature u2 i);
-    Alcotest.(check int) "same count" (Universe.count u1 i) (Universe.count u2 i);
-    Alcotest.(check (array int)) "same representative"
-      (Universe.cls u1 i).Universe.rep
-      (Universe.cls u2 i).Universe.rep
-  done
-
-(* Adversarial chunk boundaries: fewer rows than domains, and a single
-   row (every chunk but one is empty). *)
-let test_build_parallel_adversarial_chunks () =
-  let module Relation = Jqi_relational.Relation in
-  let module Tuple = Jqi_relational.Tuple in
-  let module Schema = Jqi_relational.Schema in
-  let schema = Schema.of_names ~ty:Jqi_relational.Value.TInt [ "a"; "b" ] in
-  let mk name rows = Relation.of_list ~name ~schema rows in
-  let p = mk "p" [ Tuple.ints [ 0; 1 ]; Tuple.ints [ 1; 1 ]; Tuple.ints [ 2; 0 ] ] in
-  let r1 = mk "r1" [ Tuple.ints [ 0; 1 ] ] in
-  let r2 = mk "r2" [ Tuple.ints [ 0; 1 ]; Tuple.ints [ 1; 2 ] ] in
-  List.iter
-    (fun domains ->
-      check_same_universe (Universe.build r1 p) (Universe.build_parallel ~domains r1 p);
-      check_same_universe (Universe.build r2 p) (Universe.build_parallel ~domains r2 p))
-    [ 1; 2; 4 ]
-
-let test_build_parallel_domain_sweep () =
-  let prng = Jqi_util.Prng.create 2014 in
-  let r, p = Jqi_synth.Synth.generate prng (Jqi_synth.Synth.config 3 3 40 20) in
-  let sequential = Universe.build r p in
-  List.iter
-    (fun domains ->
-      check_same_universe sequential (Universe.build_parallel ~domains r p))
-    [ 1; 2; 4 ]
-
-let test_parallel_score_choice_identity () =
-  (* On the §4.4 walk-through state, every domain count picks (t2,t'1). *)
+(* Scoring runs on the calling domain only, so the lookahead counters
+   are exact: one round scores or prunes each informative class once, and
+   reports them in ascending class order. *)
+let test_score_counts_each_candidate_once () =
   let st = State.create universe0 in
-  State.label st (class0 (1, 3)) Sample.Positive;
-  State.label st (class0 (3, 1)) Sample.Negative;
-  List.iter
-    (fun domains ->
-      match Strategy.choose (Strategy.lks_par ~domains 2) st with
-      | Some c ->
-          Alcotest.(check int)
-            (Printf.sprintf "choice at %d domains" domains)
-            (class0 (2, 1)) c
-      | None -> Alcotest.fail "lks_par returned nothing")
-    [ 1; 2; 4 ]
+  let was_enabled = Obs.enabled () in
+  Obs.reset ();
+  Obs.set_enabled true;
+  let scored = Entropy.score st ~k:2 in
+  let counted =
+    Obs.Counter.find "lookahead.candidates_scored"
+    + Obs.Counter.find "lookahead.candidates_pruned"
+  in
+  Obs.set_enabled was_enabled;
+  Obs.reset ();
+  Alcotest.(check (list int)) "one entry per informative class, in order"
+    (State.informative_classes st) (List.map fst scored);
+  Alcotest.(check int) "scored + pruned = candidates" (List.length scored)
+    counted
 
 (* ------------------------------------------------------------------ *)
 (* Seeded regressions: Figure 5 and the §4.4 walk-through.             *)
@@ -305,7 +306,7 @@ let test_fig5_full_table_both_engines () =
     (State.informative_classes st)
 
 (* §4.4 walk-through: from S = {(t1,t'3)+, (t3,t'1)−}, entropy² of
-   (t2,t'1) is (3,3) and L2S chooses it — fast, parallel and reference. *)
+   (t2,t'1) is (3,3) and L2S chooses it — fast and reference. *)
 let walkthrough_state () =
   let st = State.create universe0 in
   State.label st (class0 (1, 3)) Sample.Positive;
@@ -326,7 +327,6 @@ let test_walkthrough_l2s_choices () =
     [
       ("L2S fast", Strategy.l2s);
       ("L2S reference", Strategy.lks_reference 2);
-      ("L2S parallel", Strategy.lks_par ~domains:2 2);
     ]
 
 (* Full L2S inference on Example 2.1 agrees step by step across engines
@@ -353,20 +353,16 @@ let suite =
       canonical_idempotent;
       canonical_state_equivalent;
       view_matches_rescan;
-      parallel_scoring_deterministic;
+      kary_choices_match_reference;
     ]
   @ [
-      Alcotest.test_case "build_parallel adversarial chunks" `Quick
-        test_build_parallel_adversarial_chunks;
-      Alcotest.test_case "build_parallel domain sweep" `Quick
-        test_build_parallel_domain_sweep;
-      Alcotest.test_case "parallel score choice identity" `Quick
-        test_parallel_score_choice_identity;
+      Alcotest.test_case "score counts each candidate once" `Quick
+        test_score_counts_each_candidate_once;
+      Alcotest.test_case "§4.4 L2S choices" `Quick test_walkthrough_l2s_choices;
+      Alcotest.test_case "L2S full runs on Example 2.1" `Quick
+        test_l2s_full_runs_example21;
       Alcotest.test_case "Fig 5 u+=11 convention" `Quick
         test_fig5_u_plus_11_convention;
       Alcotest.test_case "Fig 5 table, both engines" `Quick
         test_fig5_full_table_both_engines;
-      Alcotest.test_case "§4.4 L2S choices" `Quick test_walkthrough_l2s_choices;
-      Alcotest.test_case "L2S full runs on Example 2.1" `Quick
-        test_l2s_full_runs_example21;
     ]

@@ -44,19 +44,19 @@ let test_catalog_cache () =
       Obs.reset ())
     (fun () ->
       let catalog = fh_catalog () in
-      let hit1, u1 = Catalog.universe catalog Fixtures.flight Fixtures.hotel in
-      let hit2, u2 = Catalog.universe catalog Fixtures.flight Fixtures.hotel in
+      let hit1, u1 = Catalog.universe_list catalog [ Fixtures.flight; Fixtures.hotel ] in
+      let hit2, u2 = Catalog.universe_list catalog [ Fixtures.flight; Fixtures.hotel ] in
       Alcotest.(check bool) "first build misses" false hit1;
       Alcotest.(check bool) "second hits" true hit2;
       Alcotest.(check bool) "same universe shared" true (u1 == u2);
       Alcotest.(check (pair int int)) "stats" (1, 1) (Catalog.stats catalog);
       (* The cache is keyed by content, not registration name. *)
       Catalog.add ~name:"flight2" catalog Fixtures.flight;
-      let hit3, u3 = Catalog.universe catalog Fixtures.flight Fixtures.hotel in
+      let hit3, u3 = Catalog.universe_list catalog [ Fixtures.flight; Fixtures.hotel ] in
       Alcotest.(check bool) "renamed content still hits" true hit3;
       Alcotest.(check bool) "still shared" true (u1 == u3);
       (* Swapping the pair is a different product: a fresh build. *)
-      let hit4, _ = Catalog.universe catalog Fixtures.hotel Fixtures.flight in
+      let hit4, _ = Catalog.universe_list catalog [ Fixtures.hotel; Fixtures.flight ] in
       Alcotest.(check bool) "swapped pair misses" false hit4;
       let report = Obs.Report.snapshot () in
       Alcotest.(check int) "hit counter" 2
@@ -116,7 +116,7 @@ let test_manager_lifecycle () =
       let manager = Manager.create (fh_catalog ()) in
       let info =
         expect_ok "open"
-          (Manager.open_session manager ~r:"Flight" ~p:"Hotel" ~strategy:"td")
+          (Manager.open_list manager ~relations:[ "Flight"; "Hotel" ] ~strategy:"td")
       in
       Alcotest.(check string) "first id" "s1" info.Manager.id;
       Alcotest.(check bool) "first open builds" false info.Manager.cache_hit;
@@ -135,7 +135,7 @@ let test_manager_lifecycle () =
       (* Second session over the same pair shares the universe. *)
       let info2 =
         expect_ok "open2"
-          (Manager.open_session manager ~r:"Flight" ~p:"Hotel" ~strategy:"bu")
+          (Manager.open_list manager ~relations:[ "Flight"; "Hotel" ] ~strategy:"bu")
       in
       Alcotest.(check bool) "second open hits the cache" true
         info2.Manager.cache_hit;
@@ -156,17 +156,17 @@ let test_manager_lifecycle () =
 
 let test_manager_errors () =
   let manager = Manager.create (fh_catalog ()) in
-  (match Manager.open_session manager ~r:"nope" ~p:"Hotel" ~strategy:"td" with
+  (match Manager.open_list manager ~relations:[ "nope"; "Hotel" ] ~strategy:"td" with
   | Error (Manager.Unknown_relation "nope") -> ()
   | Ok _ | Error _ -> Alcotest.fail "expected Unknown_relation");
-  (match Manager.open_session manager ~r:"Flight" ~p:"Hotel" ~strategy:"zz" with
+  (match Manager.open_list manager ~relations:[ "Flight"; "Hotel" ] ~strategy:"zz" with
   | Error (Manager.Unknown_strategy "zz") -> ()
   | Ok _ | Error _ -> Alcotest.fail "expected Unknown_strategy");
   (match Manager.ask manager "s99" with
   | Error (Manager.Unknown_session "s99") -> ()
   | Ok _ | Error _ -> Alcotest.fail "expected Unknown_session");
   match
-    Manager.resume_session manager ~r:"Flight" ~p:"Hotel" (Json.Obj [])
+    Manager.resume_list manager ~relations:[ "Flight"; "Hotel" ] (Json.Obj [])
   with
   | Error (Manager.Corrupt_session _) -> ()
   | Ok _ | Error _ -> Alcotest.fail "expected Corrupt_session"
@@ -175,7 +175,7 @@ let test_manager_save_resume () =
   let manager = Manager.create (fh_catalog ()) in
   let info =
     expect_ok "open"
-      (Manager.open_session manager ~r:"Flight" ~p:"Hotel" ~strategy:"td")
+      (Manager.open_list manager ~relations:[ "Flight"; "Hotel" ] ~strategy:"td")
   in
   let id = info.Manager.id in
   (* Answer one question, note the next one, freeze. *)
@@ -196,7 +196,7 @@ let test_manager_save_resume () =
   (* Thaw: the in-flight question must be re-presented verbatim, and the
      resumed run must land on the same predicate. *)
   let info2 =
-    expect_ok "resume" (Manager.resume_session manager ~r:"Flight" ~p:"Hotel" doc)
+    expect_ok "resume" (Manager.resume_list manager ~relations:[ "Flight"; "Hotel" ] doc)
   in
   Alcotest.(check string) "persisted strategy restored" "TD"
     info2.Manager.strategy_name;
@@ -221,12 +221,12 @@ let test_manager_idle_eviction () =
   in
   let s1 =
     (expect_ok "open1"
-       (Manager.open_session manager ~r:"Flight" ~p:"Hotel" ~strategy:"td"))
+       (Manager.open_list manager ~relations:[ "Flight"; "Hotel" ] ~strategy:"td"))
       .Manager.id
   in
   let s2 =
     (expect_ok "open2"
-       (Manager.open_session manager ~r:"Flight" ~p:"Hotel" ~strategy:"bu"))
+       (Manager.open_list manager ~relations:[ "Flight"; "Hotel" ] ~strategy:"bu"))
       .Manager.id
   in
   Alcotest.(check (list string)) "nothing stale yet" [] (Manager.sweep manager);
@@ -252,7 +252,7 @@ let test_eviction_autosaves_pending () =
   in
   let id =
     (expect_ok "open"
-       (Manager.open_session manager ~r:"Flight" ~p:"Hotel" ~strategy:"td"))
+       (Manager.open_list manager ~relations:[ "Flight"; "Hotel" ] ~strategy:"td"))
       .Manager.id
   in
   (* Answer one question and leave the next one outstanding. *)
@@ -283,7 +283,7 @@ let test_eviction_autosaves_pending () =
   (* Thaw the autosave: the in-flight question survives eviction exactly
      as it survives an explicit save. *)
   let info =
-    expect_ok "resume" (Manager.resume_session manager ~r:"Flight" ~p:"Hotel" doc)
+    expect_ok "resume" (Manager.resume_list manager ~relations:[ "Flight"; "Hotel" ] doc)
   in
   (match expect_ok "ask2" (Manager.ask manager info.Manager.id) with
   | Manager.Next q ->
@@ -312,7 +312,7 @@ let test_manager_delta_recertify () =
   let manager = Manager.create (fh_catalog ()) in
   let id =
     (expect_ok "open"
-       (Manager.open_session manager ~r:"Flight" ~p:"Hotel" ~strategy:"td"))
+       (Manager.open_list manager ~relations:[ "Flight"; "Hotel" ] ~strategy:"td"))
       .Manager.id
   in
   let q1 =
@@ -412,7 +412,7 @@ let test_manager_delta_stale () =
       ]
   in
   let id =
-    (expect_ok "resume" (Manager.resume_session manager ~r:"TR" ~p:"TP" doc))
+    (expect_ok "resume" (Manager.resume_list manager ~relations:[ "TR"; "TP" ] doc))
       .Manager.id
   in
   let info =
@@ -465,7 +465,7 @@ let test_resume_stale_pending () =
   in
   let pre =
     expect_ok "resume pre-delta"
-      (Manager.resume_session manager ~r:"TR" ~p:"TP" doc)
+      (Manager.resume_list manager ~relations:[ "TR"; "TP" ] doc)
   in
   (match expect_ok "ask pre-delta" (Manager.ask manager pre.Manager.id) with
   | Manager.Next (q : Engine.question) ->
@@ -478,7 +478,7 @@ let test_resume_stale_pending () =
     (expect_ok "delta"
        (Manager.apply_delta manager ~relation:"TR"
           (Delta.of_lists ~adds:[] ~removes:[ Tuple.ints [ 1; 10 ] ])));
-  match Manager.resume_session manager ~r:"TR" ~p:"TP" doc with
+  match Manager.resume_list manager ~relations:[ "TR"; "TP" ] doc with
   | Error (Manager.Stale_label msg) ->
       Alcotest.(check bool) "names the pending question" true
         (has_substring ~needle:"pending" msg)
@@ -497,7 +497,7 @@ let test_eviction_after_churn () =
   in
   let id =
     (expect_ok "open"
-       (Manager.open_session manager ~r:"Flight" ~p:"Hotel" ~strategy:"td"))
+       (Manager.open_list manager ~relations:[ "Flight"; "Hotel" ] ~strategy:"td"))
       .Manager.id
   in
   let q1 =
@@ -531,7 +531,7 @@ let test_eviction_after_churn () =
   in
   let info2 =
     expect_ok "resume"
-      (Manager.resume_session manager ~r:"Flight" ~p:"Hotel" doc)
+      (Manager.resume_list manager ~relations:[ "Flight"; "Hotel" ] doc)
   in
   Alcotest.(check bool) "thaw hits the patched universe cache" true
     info2.Manager.cache_hit;
@@ -865,6 +865,67 @@ let test_service_kary_flight () =
   | P.Opened { session = _; _ } -> ()
   | _ -> Alcotest.fail "resume_kary"
 
+(* Open_kary / Resume_kary over exactly two names answer with the classic
+   question and done frames (protocol.mli).  Two fresh managers run the
+   same script — open, one answer, save, resume, answer to the end — one
+   through the classic ops and one through the k-ary ops.  Both mint the
+   same session ids, so every response line must match byte for byte. *)
+let test_service_kary_two_names_classic () =
+  let transcript ~kary =
+    let manager = Manager.create (fh_catalog ()) in
+    let lines = ref [] in
+    let send req =
+      let line = Service.handle_line manager (P.encode_request ~id:1 req) in
+      lines := line :: !lines;
+      match P.decode_response line with
+      | Ok (_, resp) -> resp
+      | Error msg -> Alcotest.fail msg
+    in
+    let opened = function
+      | P.Opened { session; _ } -> session
+      | _ -> Alcotest.fail "open/resume"
+    in
+    let relations = [ "Flight"; "Hotel" ] in
+    let session =
+      opened
+        (send
+           (if kary then P.Open_kary { relations; strategy = "td" }
+            else P.Open_session { r = "Flight"; p = "Hotel"; strategy = "td" }))
+    in
+    let rec drive ~session ~resumed = function
+      | P.Question { q_r_row; q_p_row; _ } ->
+          let s =
+            Sample.signature_of_tuple fh_omega Fixtures.flight Fixtures.hotel
+              (q_r_row, q_p_row)
+          in
+          let next = send (P.Tell { session; label = label_for fh_goal s }) in
+          if resumed then drive ~session ~resumed next
+          else
+            let doc =
+              match send (P.Save { session }) with
+              | P.Saved { doc; _ } -> doc
+              | _ -> Alcotest.fail "save"
+            in
+            let session =
+              opened
+                (send
+                   (if kary then P.Resume_kary { relations; strategy = None; doc }
+                    else
+                      P.Resume { r = "Flight"; p = "Hotel"; strategy = None; doc }))
+            in
+            drive ~session ~resumed:true (send (P.Ask { session }))
+      | P.Done _ -> ()
+      | _ -> Alcotest.fail "expected a classic question or done frame"
+    in
+    drive ~session ~resumed:false (send (P.Ask { session }));
+    List.rev !lines
+  in
+  let classic = transcript ~kary:false in
+  Alcotest.(check bool) "a resume round trip happened" true
+    (List.compare_length_with classic 5 > 0);
+  Alcotest.(check (list string)) "byte-identical frames" classic
+    (transcript ~kary:true)
+
 let test_service_kary_errors () =
   let catalog = fh_catalog () in
   let manager = Manager.create catalog in
@@ -1008,6 +1069,8 @@ let suite =
     Alcotest.test_case "version negotiation" `Quick test_negotiate;
     Alcotest.test_case "service full session" `Quick test_service_full_flight;
     Alcotest.test_case "service k-ary session" `Quick test_service_kary_flight;
+    Alcotest.test_case "k-ary ops over two names speak classic frames" `Quick
+      test_service_kary_two_names_classic;
     Alcotest.test_case "service k-ary error frames" `Quick
       test_service_kary_errors;
     Alcotest.test_case "service delta frames" `Quick test_service_delta;

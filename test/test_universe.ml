@@ -38,14 +38,19 @@ let test_grouping () =
   let matching =
     Option.get (Universe.find_class u (Omega.of_pairs (Universe.omega u) [ (0, 0) ]))
   in
-  Alcotest.(check int) "multiplicity 2" 2 (Universe.count u matching)
+  Alcotest.(check int) "multiplicity 2" 2 (Universe.count u matching);
+  (* Ω carries the relation names, yet two relations print bare names. *)
+  Alcotest.(check (list string)) "relation names" [ "r"; "p" ]
+    [ Omega.rel_name (Universe.omega u) 0; Omega.rel_name (Universe.omega u) 1 ];
+  Alcotest.(check string) "bare names at k = 2" "{(a,b)}"
+    (Omega.pred_to_string (Universe.omega u) (Universe.signature u matching))
 
 let test_representative () =
-  match Universe.representative universe0 (class0 (2, 2)) with
-  | None -> Alcotest.fail "expected representative"
-  | Some (tr, tp) ->
+  match Universe.representative_rows universe0 (class0 (2, 2)) with
+  | Some [| tr; tp |] ->
       Alcotest.check tuple_testable "left rep" (Tuple.ints [ 0; 2 ]) tr;
       Alcotest.check tuple_testable "right rep" (Tuple.ints [ 0; 1; 2 ]) tp
+  | Some _ | None -> Alcotest.fail "expected a representative pair"
 
 let test_selected_classes () =
   (* θ1 = {(A1,B1),(A2,B3)} selects exactly (t2,t'2) and (t4,t'1)
@@ -87,12 +92,12 @@ let test_equivalent () =
 let test_signature_consistency () =
   (* Every class signature equals T of its representative. *)
   for i = 0 to Universe.n_classes universe0 - 1 do
-    match Universe.representative universe0 i with
-    | None -> Alcotest.fail "no representative"
-    | Some (tr, tp) ->
+    match Universe.representative_rows universe0 i with
+    | Some [| tr; tp |] ->
         Alcotest.check bits_testable "sig = T(rep)"
           (Universe.signature universe0 i)
           (Tsig.of_tuples omega0 tr tp)
+    | Some _ | None -> Alcotest.fail "no representative pair"
   done
 
 let test_of_signature_list_merges () =
@@ -115,32 +120,9 @@ let test_empty_product_rejected () =
   Alcotest.(check bool) "raises" true
     (try ignore (Universe.build r p); false with Invalid_argument _ -> true)
 
-let test_parallel_equals_sequential () =
-  (* Identical universes — classes, counts and representatives — for any
-     domain count, on Example 2.1 and on a bigger synthetic instance. *)
-  let check_same u1 u2 =
-    Alcotest.(check int) "same class count" (Universe.n_classes u1)
-      (Universe.n_classes u2);
-    for i = 0 to Universe.n_classes u1 - 1 do
-      Alcotest.check Fixtures.bits_testable "same signature"
-        (Universe.signature u1 i) (Universe.signature u2 i);
-      Alcotest.(check int) "same count" (Universe.count u1 i)
-        (Universe.count u2 i);
-      Alcotest.(check (array int)) "same representative"
-        (Universe.cls u1 i).Universe.rep (Universe.cls u2 i).Universe.rep
-    done
-  in
-  List.iter
-    (fun domains -> check_same universe0 (Universe.build_parallel ~domains r0 p0))
-    [ 1; 2; 3; 8 ];
-  let prng = Jqi_util.Prng.create 31 in
-  let rs, ps = Jqi_synth.Synth.generate prng (Jqi_synth.Synth.config 3 3 60 20) in
-  check_same (Universe.build rs ps) (Universe.build_parallel ~domains:4 rs ps)
-
 let suite =
   [
     Alcotest.test_case "example 2.1 classes" `Quick test_example_2_1_classes;
-    Alcotest.test_case "parallel build = sequential" `Quick test_parallel_equals_sequential;
     Alcotest.test_case "join ratio (§5.3 example)" `Quick test_join_ratio_example;
     Alcotest.test_case "grouping with multiplicity" `Quick test_grouping;
     Alcotest.test_case "representative" `Quick test_representative;

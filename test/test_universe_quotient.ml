@@ -1,6 +1,7 @@
 (* Differential suite for the profile-quotient universe construction:
-   [Universe.build_quotient] and [Universe.build_parallel] must reproduce
-   the reference per-pair scan [Universe.build_naive] exactly — classes,
+   [Universe.build_kary] on two relations (the profile-pair scan) must
+   reproduce the reference per-pair scan [Universe.build_naive] and the
+   k-way scan [Universe.build_kary_naive] exactly — classes,
    counts, representatives and join ratio — on random instances including
    NULL-heavy, duplicate-heavy, NaN-bearing, single-row and all-NULL-column
    ones.  Plus unit coverage of the value dictionary ([Dict]): NULL and NaN
@@ -48,17 +49,17 @@ let relation_of name prefix rows =
 
 let all_builders r p =
   ( Universe.build_naive r p,
-    Universe.build_quotient r p,
-    Universe.build_parallel ~domains:3 r p )
+    Universe.build_kary [ r; p ],
+    Universe.build_kary_naive [ r; p ] )
 
 (* ------------------------- deterministic edges -------------------- *)
 
 let test_single_row () =
   let r = relation_of "r" "a" [ Tuple.ints [ 7; 7 ] ] in
   let p = relation_of "p" "b" [ Tuple.ints [ 7 ] ] in
-  let n, q, par = all_builders r p in
+  let n, q, kn = all_builders r p in
   check_agree "quotient = naive" n q;
-  check_agree "parallel = naive" n par;
+  check_agree "k-ary naive = naive" n kn;
   Alcotest.(check int) "one class" 1 (Universe.n_classes q)
 
 let test_all_null_column () =
@@ -70,9 +71,9 @@ let test_all_null_column () =
     relation_of "p" "b"
       [ Tuple.of_list [ Value.Int 1 ]; Tuple.of_list [ Value.Null ] ]
   in
-  let n, q, par = all_builders r p in
+  let n, q, kn = all_builders r p in
   check_agree "quotient = naive" n q;
-  check_agree "parallel = naive" n par;
+  check_agree "k-ary naive = naive" n kn;
   Alcotest.(check int) "|D| preserved" 6 (Universe.total_tuples q)
 
 let test_duplicate_heavy () =
@@ -82,9 +83,9 @@ let test_duplicate_heavy () =
   let reps = List.concat_map (fun v -> [ v; v; v; v ]) [ [ 1; 2 ]; [ 2; 1 ]; [ 1; 1 ] ] in
   let r = relation_of "r" "a" (List.map Tuple.ints reps) in
   let p = relation_of "p" "b" (List.map Tuple.ints [ [ 1 ]; [ 1 ]; [ 2 ] ]) in
-  let n, q, par = all_builders r p in
+  let n, q, kn = all_builders r p in
   check_agree "quotient = naive" n q;
-  check_agree "parallel = naive" n par;
+  check_agree "k-ary naive = naive" n kn;
   Alcotest.(check int) "|D| = 36" 36 (Universe.total_tuples q)
 
 let test_nan_never_matches () =
@@ -94,9 +95,9 @@ let test_nan_never_matches () =
   let fr v = Tuple.of_list [ Value.Float v ] in
   let r = relation_of "r" "a" [ fr Float.nan; fr 1.0; fr Float.nan ] in
   let p = relation_of "p" "b" [ fr Float.nan; fr 1.0 ] in
-  let n, q, par = all_builders r p in
+  let n, q, kn = all_builders r p in
   check_agree "quotient = naive" n q;
-  check_agree "parallel = naive" n par;
+  check_agree "k-ary naive = naive" n kn;
   (* Exactly one matching pair: 1.0 with 1.0. *)
   let matching = Omega.of_pairs (Universe.omega q) [ (0, 0) ] in
   match Universe.find_class q matching with
@@ -148,19 +149,19 @@ let gen_instance =
     return (rrows, prows))
 
 let qcheck_quotient_equals_naive =
-  QCheck.Test.make ~name:"build_quotient = build_naive = build_parallel"
+  QCheck.Test.make ~name:"build_quotient = build_naive = build_kary_naive"
     ~count:400 (QCheck.make gen_instance)
     (fun (rrows, prows) ->
       let r = relation_of "r" "a" rrows and p = relation_of "p" "b" prows in
-      let n, q, par = all_builders r p in
-      universes_agree n q && universes_agree n par)
+      let n, q, kn = all_builders r p in
+      universes_agree n q && universes_agree n kn)
 
 let qcheck_signatures_match_reps =
   QCheck.Test.make ~name:"quotient class signatures = T(representative)"
     ~count:200 (QCheck.make gen_instance)
     (fun (rrows, prows) ->
       let r = relation_of "r" "a" rrows and p = relation_of "p" "b" prows in
-      let u = Universe.build_quotient r p in
+      let u = Universe.build r p in
       let omega = Universe.omega u in
       let rec go i =
         i >= Universe.n_classes u
@@ -189,7 +190,7 @@ let test_sampled_reps_deterministic () =
   List.iter
     (fun seed ->
       let sampled =
-        Universe.build_sampled (Jqi_util.Prng.create seed) ~pairs:3000 r p
+        Universe.build_sampled (Jqi_util.Prng.create seed) ~tuples:3000 [ r; p ]
       in
       let label fmt =
         Printf.ksprintf (fun s -> Printf.sprintf "seed %d: %s" seed s) fmt
