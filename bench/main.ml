@@ -30,6 +30,32 @@ let int_array_equal a b =
   let rec go i = i >= Array.length a || (Int.equal a.(i) b.(i) && go (i + 1)) in
   go 0
 
+(* Byte-identity of two universes: same classes, counts and
+   representatives (the join ratio follows from the signatures). *)
+let universes_equal u1 u2 =
+  Int.equal (Universe.n_classes u1) (Universe.n_classes u2)
+  &&
+  let rec go i =
+    i >= Universe.n_classes u1
+    || Bits.equal (Universe.signature u1 i) (Universe.signature u2 i)
+       && Int.equal (Universe.count u1 i) (Universe.count u2 i)
+       && int_array_equal (Universe.cls u1 i).Universe.rep
+            (Universe.cls u2 i).Universe.rep
+       && go (i + 1)
+  in
+  go 0
+
+(* Best wall time of three runs of [f], with its result. *)
+let time_best f =
+  let best = ref infinity in
+  let result = ref None in
+  for _ = 1 to 3 do
+    let x, dt = Jqi_util.Timer.time f in
+    if dt < !best then best := dt;
+    result := Some x
+  done;
+  (Option.get !result, !best)
+
 let int_array_compare a b =
   let n = min (Array.length a) (Array.length b) in
   let rec go i =
@@ -405,97 +431,84 @@ let run_ablation ~full ~seed =
 (* Universe construction: naive vs quotient.                           *)
 (* ------------------------------------------------------------------ *)
 
-(* A/B of the universe builders on a duplicate-heavy TPC-H-shaped
-   instance: lineitem and orders projected onto their low-cardinality
-   flag/status/priority columns (the §5.1 table shapes with the key
-   columns dropped), so row profiles repeat heavily and the quotient
-   collapses the |R|·|P| scan to the distinct-profile product.  Both
-   exact builders must produce identical universes — classes, counts and
-   representatives — which is asserted here and by CI on the emitted
-   BENCH_universe.json. *)
+(* A/B of the universe builders on two TPC-H instances, one per regime
+   of the profile quotient:
+
+   - duplicate-heavy: lineitem and orders projected onto their
+     low-cardinality flag/status/priority columns (the §5.1 table shapes
+     with the key columns dropped), so row profiles repeat heavily and
+     the quotient collapses the |R|·|P| scan to the distinct-profile
+     product;
+   - keyed: goal join 4 (orders × lineitem) at scale 4, whose key
+     columns keep most rows distinct, so the quotient saves little and
+     the walk's work is close to one merge per row pair.
+
+   Both exact builders must produce identical universes — classes,
+   counts and representatives — which is asserted here and by CI on the
+   emitted BENCH_universe.json, per entry. *)
 let run_universe ~full ~seed =
   let module Json = Jqi_util.Json in
   let module Algebra = Jqi_relational.Algebra in
   let module Relation = Jqi_relational.Relation in
-  section_header
-    "Universe construction — naive vs quotient (profile quotient)";
+  section_header "Universe construction — naive vs quotient (profile quotient)";
   let scales = if full then [ 4; 16 ] else [ 2; 8 ] in
-  let universes_equal u1 u2 =
-    Int.equal (Universe.n_classes u1) (Universe.n_classes u2)
-    && (let rec go i =
-          i >= Universe.n_classes u1
-          || Bits.equal (Universe.signature u1 i) (Universe.signature u2 i)
-             && Int.equal (Universe.count u1 i) (Universe.count u2 i)
-             && int_array_equal (Universe.cls u1 i).Universe.rep
-                  (Universe.cls u2 i).Universe.rep
-             && go (i + 1)
-        in
-        go 0)
-  in
-  let time_best f =
-    let best = ref infinity in
-    let result = ref None in
-    for _ = 1 to 3 do
-      let x, dt = Jqi_util.Timer.time f in
-      if dt < !best then best := dt;
-      result := Some x
-    done;
-    (Option.get !result, !best)
+  let measure label fields r p =
+    let naive_u, naive_s = time_best (fun () -> Universe.build_naive r p) in
+    let quot_u, quot_s = time_best (fun () -> Universe.build r p) in
+    (* One instrumented quotient build for the walk's counters. *)
+    let was_enabled = Obs.enabled () in
+    Obs.reset ();
+    Obs.set_enabled true;
+    ignore (Universe.build r p);
+    let counter name = Obs.Counter.find name in
+    let profiles = counter "universe.kary_profiles" in
+    let work = counter "universe.kary_work" in
+    let collapsed = counter "universe.kary_collapsed" in
+    Obs.set_enabled was_enabled;
+    let identical = universes_equal naive_u quot_u in
+    let speedup_quot = naive_s /. quot_s in
+    Printf.printf
+      "  %s: %4d x %4d rows (|D| = %7d), %d profiles, %d merges, %d \
+       collapses, %d classes\n\
+      \    naive    %8.2f ms\n\
+      \    quotient %8.2f ms  (%.1fx)\n\
+      \    universes %s\n"
+      label (Relation.cardinality r) (Relation.cardinality p)
+      (Relation.cardinality r * Relation.cardinality p)
+      profiles work collapsed (Universe.n_classes quot_u)
+      (naive_s *. 1e3) (quot_s *. 1e3) speedup_quot
+      (if identical then "identical" else "DIVERGED");
+    Json.Obj
+      (fields
+      @ [
+          ("rows_r", Json.int (Relation.cardinality r));
+          ("rows_p", Json.int (Relation.cardinality p));
+          ("profiles", Json.int profiles);
+          ("work", Json.int work);
+          ("collapsed", Json.int collapsed);
+          ("classes", Json.int (Universe.n_classes quot_u));
+          ("naive_s", Json.Num naive_s);
+          ("quotient_s", Json.Num quot_s);
+          ("speedup_quotient", Json.Num speedup_quot);
+          ("identical", Json.Bool identical);
+        ])
   in
   let entries =
     List.map
       (fun scale ->
         let db = Tpch.generate ~seed ~scale () in
-        let r =
-          Algebra.project db.lineitem
-            [ "l_returnflag"; "l_linestatus"; "l_shipmode" ]
-        in
-        let p =
-          Algebra.project db.orders
-            [ "o_orderstatus"; "o_orderpriority"; "o_shippriority" ]
-        in
-        let naive_u, naive_s = time_best (fun () -> Universe.build_naive r p) in
-        let quot_u, quot_s = time_best (fun () -> Universe.build r p) in
-        (* One instrumented quotient build for the profile/dict counters. *)
-        let was_enabled = Obs.enabled () in
-        Obs.reset ();
-        Obs.set_enabled true;
-        ignore (Universe.build r p);
-        let counter name = Obs.Counter.find name in
-        let profiles_r = counter "universe.profiles_r" in
-        let profiles_p = counter "universe.profiles_p" in
-        let dict_values = counter "universe.dict_values" in
-        let pairs_skipped = counter "universe.pairs_skipped" in
-        Obs.set_enabled was_enabled;
-        let identical = universes_equal naive_u quot_u in
-        let speedup_quot = naive_s /. quot_s in
-        Printf.printf
-          "  scale %2d: %4d x %4d rows (|D| = %7d), %3d x %2d profiles, %d \
-           dict values, %d classes\n\
-          \    naive    %8.2f ms\n\
-          \    quotient %8.2f ms  (%.1fx)\n\
-          \    universes %s\n"
-          scale (Relation.cardinality r) (Relation.cardinality p)
-          (Relation.cardinality r * Relation.cardinality p)
-          profiles_r profiles_p dict_values (Universe.n_classes quot_u)
-          (naive_s *. 1e3) (quot_s *. 1e3) speedup_quot
-          (if identical then "identical" else "DIVERGED");
-        Json.Obj
-          [
-            ("scale", Json.int scale);
-            ("rows_r", Json.int (Relation.cardinality r));
-            ("rows_p", Json.int (Relation.cardinality p));
-            ("profiles_r", Json.int profiles_r);
-            ("profiles_p", Json.int profiles_p);
-            ("dict_values", Json.int dict_values);
-            ("pairs_skipped", Json.int pairs_skipped);
-            ("classes", Json.int (Universe.n_classes quot_u));
-            ("naive_s", Json.Num naive_s);
-            ("quotient_s", Json.Num quot_s);
-            ("speedup_quotient", Json.Num speedup_quot);
-            ("identical", Json.Bool identical);
-          ])
+        measure (Printf.sprintf "scale %2d" scale)
+          [ ("scale", Json.int scale) ]
+          (Algebra.project db.lineitem
+             [ "l_returnflag"; "l_linestatus"; "l_shipmode" ])
+          (Algebra.project db.orders
+             [ "o_orderstatus"; "o_orderpriority"; "o_shippriority" ]))
       scales
+  in
+  let keyed =
+    let join = List.nth (Tpch.joins (Tpch.generate ~seed ~scale:4 ())) 3 in
+    measure "keyed J4" [ ("scale", Json.int 4); ("join", Json.Str join.label) ]
+      join.r join.p
   in
   let path = "BENCH_universe.json" in
   Json.save_file path
@@ -508,6 +521,7 @@ let run_universe ~full ~seed =
               orders(orderstatus,orderpriority,shippriority) — \
               duplicate-heavy projections" );
          ("entries", Json.List entries);
+         ("keyed", keyed);
        ]);
   Printf.printf "wrote %s\n" path
 
@@ -542,16 +556,6 @@ let run_kary ~full ~seed =
   let rels = [| part; partsupp; supplier |] in
   let rel_list = [ part; partsupp; supplier ] in
   let eqs = [ ((0, 0), (1, 0)); ((1, 1), (2, 0)) ] in
-  let time_best f =
-    let best = ref infinity in
-    let result = ref None in
-    for _ = 1 to 3 do
-      let x, dt = Jqi_util.Timer.time f in
-      if dt < !best then best := dt;
-      result := Some x
-    done;
-    (Option.get !result, !best)
-  in
   (* (a) universe: profile-trie walk vs Cartesian reference, on
      duplicate-heavy projections where quotienting can pay (unique-key
      columns have one profile per row, so there the two builders do the
@@ -563,18 +567,6 @@ let run_kary ~full ~seed =
   let kary_u, kary_s = time_best (fun () -> Universe.build_kary wide_list) in
   let naive_u, naive_s =
     time_best (fun () -> Universe.build_kary_naive wide_list)
-  in
-  let universes_equal u1 u2 =
-    Int.equal (Universe.n_classes u1) (Universe.n_classes u2)
-    && (let rec go i =
-          i >= Universe.n_classes u1
-          || Bits.equal (Universe.signature u1 i) (Universe.signature u2 i)
-             && Int.equal (Universe.count u1 i) (Universe.count u2 i)
-             && int_array_equal (Universe.cls u1 i).Universe.rep
-                  (Universe.cls u2 i).Universe.rep
-             && go (i + 1)
-        in
-        go 0)
   in
   let u_identical = universes_equal kary_u naive_u in
   let u_speedup = naive_s /. kary_s in
@@ -765,19 +757,6 @@ let run_storage ~full ~seed =
     let misses = st_r.Buffer_pool.misses + st_p.Buffer_pool.misses in
     if hits + misses = 0 then 0. else float hits /. float (hits + misses)
   in
-  let universes_equal u1 u2 =
-    Int.equal (Universe.n_classes u1) (Universe.n_classes u2)
-    && Float.equal (Universe.join_ratio u1) (Universe.join_ratio u2)
-    && (let rec go i =
-          i >= Universe.n_classes u1
-          || Bits.equal (Universe.signature u1 i) (Universe.signature u2 i)
-             && Int.equal (Universe.count u1 i) (Universe.count u2 i)
-             && int_array_equal (Universe.cls u1 i).Universe.rep
-                  (Universe.cls u2 i).Universe.rep
-             && go (i + 1)
-        in
-        go 0)
-  in
   let identical = universes_equal mem_u paged_u in
   Printf.printf
     "  fingerprints %s; universe: %d classes %s (mem %.2f ms, paged %.2f ms)\n\
@@ -919,20 +898,6 @@ let run_churn ~full ~seed =
               row)
         in
         Delta.of_lists ~adds ~removes)
-  in
-  let universes_equal u1 u2 =
-    Int.equal (Universe.n_classes u1) (Universe.n_classes u2)
-    && Float.equal (Universe.join_ratio u1) (Universe.join_ratio u2)
-    &&
-    let rec go i =
-      i >= Universe.n_classes u1
-      || Bits.equal (Universe.signature u1 i) (Universe.signature u2 i)
-         && Int.equal (Universe.count u1 i) (Universe.count u2 i)
-         && int_array_equal (Universe.cls u1 i).Universe.rep
-              (Universe.cls u2 i).Universe.rep
-         && go (i + 1)
-    in
-    go 0
   in
   let u0 = Universe.build r0 p in
   Printf.printf

@@ -485,7 +485,7 @@ let cmd_figure r_path p_path =
   for i = Relation.cardinality r - 1 downto 0 do
     for j = Relation.cardinality p - 1 downto 0 do
       let s =
-        Jqi_core.Tsig.of_tuples omega (Relation.row r i) (Relation.row p j)
+        Jqi_core.Tsig.of_ktuples omega [| Relation.row r i; Relation.row p j |]
       in
       let cls = Option.get (Universe.find_class universe s) in
       let entropy = Jqi_core.Entropy.entropy1 st cls in

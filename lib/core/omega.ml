@@ -82,14 +82,6 @@ let binary t op =
   if n_relations t <> 2 then
     invalid_arg (Printf.sprintf "Omega.%s: k-ary universe (k=%d)" op (n_relations t))
 
-let left_arity t =
-  binary t "left_arity";
-  t.arities.(0)
-
-let right_arity t =
-  binary t "right_arity";
-  t.arities.(1)
-
 let index t i j =
   binary t "index";
   let n = t.arities.(0) and m = t.arities.(1) in

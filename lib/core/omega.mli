@@ -48,10 +48,8 @@ val rel_name : t -> int -> string
 (** {2 Binary views}
 
     These raise [Invalid_argument] on a k-ary universe (k ≠ 2); callers
-    on the k-ary path use the [k*] bijection below. *)
-
-val left_arity : t -> int
-val right_arity : t -> int
+    on the k-ary path use the [k*] bijection below, and read arities
+    through {!arity_at}. *)
 
 (** [index t i j] is the bit position of the pair (A_i, B_j); 0-based. *)
 val index : t -> int -> int -> int

@@ -25,7 +25,7 @@ let infer universe ~positives ~negatives =
   let module R = Jqi_relational.Relation in
   let signature_of (i, j) =
     match Universe.relation_array universe with
-    | Some [| r; p |] -> Tsig.of_tuples omega (R.row r i) (R.row p j)
+    | Some [| r; p |] -> Tsig.of_ktuples omega [| R.row r i; R.row p j |]
     | Some _ | None -> invalid_arg "Qbe.infer: universe has no backing relations"
   in
   let pos_sigs = List.map signature_of positives in

@@ -42,7 +42,7 @@ let positives t = List.filter_map (fun e -> if e.label = Positive then Some e.tu
 let negatives t = List.filter_map (fun e -> if e.label = Negative then Some e.tuple else None) t.examples
 
 let signature_of_tuple omega r p (i, j) =
-  Tsig.of_tuples omega (Relation.row r i) (Relation.row p j)
+  Tsig.of_ktuples omega [| Relation.row r i; Relation.row p j |]
 
 (* T(S+): the most specific predicate selecting all positive examples
    (Ω when S+ is empty, cf. §3.3). *)

@@ -5,69 +5,55 @@
    extended to sets by intersection: T(U) = ∩_{t∈U} T(t).  T is the
    elementary tool of the whole inference machinery (§3): θ selects t iff
    θ ⊆ T(t), so every question about C(S) reduces to subset tests between
-   T-signatures. *)
+   T-signatures.  On k relations a tuple carries one row per relation and
+   T has a bit for every cross-relation attribute pair that matches; the
+   paper's binary T is the case k = 2. *)
 
 module Bits = Jqi_util.Bits
 module Value = Jqi_relational.Value
 module Tuple = Jqi_relational.Tuple
 
-let of_tuples omega tr tp =
-  Bits.build (Omega.width omega) (fun set ->
-      for i = 0 to Omega.left_arity omega - 1 do
-        let vr = Tuple.get tr i in
-        if not (Value.is_null vr) then
-          for j = 0 to Omega.right_arity omega - 1 do
-            if Value.eq vr (Tuple.get tp j) then set (Omega.index omega i j)
-          done
-      done)
+(* The one code-compare kernel: mark through [set] every bit of the
+   block at [base] whose codes match.  Codes replicate [Value.eq] (equal
+   code ⟺ join-match; NULL/NaN carry a negative sentinel no code
+   equals), so the guard on the left code alone suffices: a negative
+   right code can never equal a non-negative left one. *)
+let mark_block set base ci cj =
+  let m = Array.length cj in
+  for a = 0 to Array.length ci - 1 do
+    let c = ci.(a) in
+    if c >= 0 then
+      for b = 0 to m - 1 do
+        if Int.equal c cj.(b) then set (base + (a * m) + b)
+      done
+  done
 
-(* T over dictionary-encoded rows: [cr]/[cp] are [Dict] code vectors of a
-   left and a right row.  Codes replicate [Value.eq] (equal code ⟺
-   join-match; NULL/NaN carry a negative sentinel no code equals), so this
-   is [of_tuples] with every tag dispatch replaced by one integer compare.
-   The guard on the left code alone suffices: a negative right code can
-   never equal a non-negative left one. *)
-let of_codes omega cr cp =
-  if not
-       (Int.equal (Array.length cr) (Omega.left_arity omega)
-       && Int.equal (Array.length cp) (Omega.right_arity omega))
-  then
-    invalid_arg "Tsig.of_codes: code vectors must match the arities of Omega";
-  let m = Omega.right_arity omega in
-  Bits.build (Omega.width omega) (fun set ->
-      for i = 0 to Array.length cr - 1 do
-        let c = cr.(i) in
-        if c >= 0 then
-          for j = 0 to m - 1 do
-            if Int.equal c cp.(j) then set ((i * m) + j)
-          done
-      done)
+let bad_codes () = invalid_arg "Tsig: code vectors must match the arities of Omega"
 
-(* K-ary T: one tuple (or code vector) per relation; the signature has a
-   bit for every cross-relation attribute pair that matches.  For k = 2
-   the block layout makes this coincide bit-for-bit with [of_codes]. *)
+(* Staged: the block's offset and arities are looked up once, when the
+   walk over a universe prepares its per-block kernels, and each call
+   then costs two length checks. *)
+let of_block omega i j =
+  let base = Omega.block_offset omega i j in
+  let ni = Omega.arity_at omega i and nj = Omega.arity_at omega j in
+  let width = Omega.width omega in
+  fun ci cj ->
+    if not (Int.equal (Array.length ci) ni && Int.equal (Array.length cj) nj) then
+      bad_codes ();
+    Bits.build width (fun set -> mark_block set base ci cj)
+
 let of_kcodes omega codes =
   let k = Omega.n_relations omega in
   if not (Int.equal (Array.length codes) k) then
     invalid_arg "Tsig.of_kcodes: need one code vector per relation";
-  for i = 0 to k - 1 do
-    if not (Int.equal (Array.length codes.(i)) (Omega.arity_at omega i)) then
-      invalid_arg "Tsig.of_kcodes: code vectors must match the arities of Omega"
-  done;
+  Array.iteri
+    (fun i c ->
+      if not (Int.equal (Array.length c) (Omega.arity_at omega i)) then bad_codes ())
+    codes;
   Bits.build (Omega.width omega) (fun set ->
       for i = 0 to k - 2 do
-        let ci = codes.(i) in
         for j = i + 1 to k - 1 do
-          let cj = codes.(j) in
-          let m = Array.length cj in
-          let base = Omega.block_offset omega i j in
-          for a = 0 to Array.length ci - 1 do
-            let c = ci.(a) in
-            if c >= 0 then
-              for b = 0 to m - 1 do
-                if Int.equal c cj.(b) then set (base + (a * m) + b)
-              done
-          done
+          mark_block set (Omega.block_offset omega i j) codes.(i) codes.(j)
         done
       done)
 

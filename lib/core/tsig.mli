@@ -2,27 +2,32 @@
 
     T(t) = {(A_i, B_j) | tR[A_i] = tP[B_j]} is the paper's elementary tool:
     a predicate θ selects t iff θ ⊆ T(t), so all version-space reasoning
-    reduces to subset tests between T-signatures. *)
+    reduces to subset tests between T-signatures.  A tuple of
+    R_0 × … × R_{k-1} is one row per relation; its signature has a bit
+    for every cross-relation attribute pair that matches, in
+    {!Omega}'s block layout.  The paper's binary T is k = 2: pass
+    [[| tR; tP |]]. *)
 
-(** [of_tuples omega tR tP] is T((tR, tP)).  NULL cells never match. *)
-val of_tuples :
-  Omega.t -> Jqi_relational.Tuple.t -> Jqi_relational.Tuple.t -> Jqi_util.Bits.t
+(** [of_ktuples omega tuples] is T of one tuple per relation, with
+    [Value.eq] semantics: NULL cells never match.  Raises
+    [Invalid_argument] on a wrong tuple count. *)
+val of_ktuples : Omega.t -> Jqi_relational.Tuple.t array -> Jqi_util.Bits.t
 
-(** [of_codes omega cr cp] is {!of_tuples} over {!Jqi_relational.Dict}
-    code vectors: equal codes are join-matches, negative codes (NULL/NaN)
-    match nothing.  Raises [Invalid_argument] when vector lengths differ
-    from the arities of [omega]. *)
-val of_codes : Omega.t -> int array -> int array -> Jqi_util.Bits.t
-
-(** [of_kcodes omega codes] is the k-ary T-signature of one code vector
-    per relation: a bit for every cross-relation attribute pair whose
-    codes match (negative codes match nothing).  For k = 2 this is
-    bit-identical to {!of_codes}.  Raises [Invalid_argument] on a wrong
-    relation count or vector length. *)
+(** [of_kcodes omega codes] is {!of_ktuples} over one
+    {!Jqi_relational.Dict} code vector per relation: equal codes are
+    join-matches, negative codes (NULL/NaN) match nothing.  Raises
+    [Invalid_argument] on a wrong relation count or vector length. *)
 val of_kcodes : Omega.t -> int array array -> Jqi_util.Bits.t
 
-(** {!of_kcodes} over raw tuples with [Value.eq] semantics. *)
-val of_ktuples : Omega.t -> Jqi_relational.Tuple.t array -> Jqi_util.Bits.t
+(** [of_block omega i j ci cj] is the part of {!of_kcodes} that block
+    (i, j), i < j, contributes: the matches between code vector [ci] of
+    relation [i] and [cj] of relation [j].  A signature is the union of
+    its pairwise blocks, which is how the universe builder composes
+    them; [of_block omega i j] checks the block once and can be applied
+    to many vector pairs.  Raises [Invalid_argument] on a bad block or
+    vector length. *)
+val of_block :
+  Omega.t -> int -> int -> int array -> int array -> Jqi_util.Bits.t
 
 (** [of_signatures omega sigs] is T(U) = ∩ sigs, and Ω when [sigs] is empty
     (the convention §3.3 needs for samples without positive examples). *)

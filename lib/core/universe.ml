@@ -81,12 +81,6 @@ let of_ksignature_list ?relations omega sigs =
   let total = Array.fold_left (fun s c -> s + c.count) 0 classes in
   { omega; classes; total; relations; cache = None }
 
-let of_signature_list ?relations omega sigs =
-  of_ksignature_list
-    ?relations:(Option.map (fun (r, p) -> [| r; p |]) relations)
-    omega
-    (List.map (fun (s, c, (i, j)) -> (s, c, [| i; j |])) sigs)
-
 (* Every built universe shares one Ω constructor: the k-ary layout over
    the relations' own names.  On k = 2 its single block sits at offset 0,
    so bit positions and the bare-name rendering are the binary ones. *)
@@ -104,7 +98,7 @@ let check_rels ~entry rels =
     rels
 
 (* The reference per-pair scan: every tuple of R × P gets its own
-   [Tsig.of_tuples] call and bitset.  Kept as the executable definition
+   [Tsig.of_ktuples] call and bitset.  Kept as the executable definition
    and as the differential oracle for [build_kary] below. *)
 let build_naive r p =
   Obs.span "universe.build_naive" @@ fun () ->
@@ -116,7 +110,7 @@ let build_naive r p =
   for i = 0 to nr - 1 do
     let tr = Relation.row r i in
     for j = 0 to np - 1 do
-      let s = Tsig.of_tuples omega tr (Relation.row p j) in
+      let s = Tsig.of_ktuples omega [| tr; Relation.row p j |] in
       match H.find_opt acc s with
       | Some (c, rep) -> H.replace acc s (c + 1, rep)
       | None -> H.replace acc s (1, [| i; j |])
@@ -168,16 +162,17 @@ let build_kary_naive rels =
    2. Row profiles: two rows with the same code vector produce the same
       signature against *every* partner row combination, so it suffices
       to compute signatures for distinct-profile combinations and add the
-      product of the profile multiplicities.  On two relations the scan
-      shrinks from |R|·|P| to d_R·d_P where d is the distinct-profile
-      count — orders of magnitude on duplicate-heavy (TPC-H-shaped) data.
+      product of the profile multiplicities: ∏|R_i| shrinks to at most
+      ∏ d_i where d is the distinct-profile count — orders of magnitude
+      on duplicate-heavy (TPC-H-shaped) data.
 
    The result is identical to the naive scans: same classes and counts by
    construction, and the same representatives because the full-scan rep
    of a class is its lexicographically smallest row vector, which for a
    profile combination — whose members are all combinations of the
-   profiles' rows — is the vector of the profiles' first rows, min-merged
-   across the combinations sharing a signature. *)
+   profiles' rows — is the vector of the profiles' first rows; the walk
+   below meets those vectors in lexicographic order and keeps the first
+   one per signature. *)
 
 module Profile = struct
   type t = int array
@@ -195,19 +190,19 @@ module PH = Hashtbl.Make (Profile)
 
 type profile = { codes : int array; mutable multiplicity : int; first_row : int }
 
-(* Group a relation's rows by code vector, in first-seen (i.e.
-   ascending first-row) order; [first_row] is the smallest row index of
-   the group because rows are scanned in ascending order.
-
-   Streaming: one [Dict.iter_encoded] pass over the relation, so a
-   paged relation is grouped directly off its heap-file scan under the
-   buffer pool's page budget — memory is bounded by the number of
-   *distinct* profiles, never by the row count.  The reused code
-   buffer is copied only on first sight of a profile. *)
-let stream_profiles dict rel =
-  let tbl = PH.create (max 16 (min 65536 (Relation.cardinality rel))) in
+(* Group [rows] code vectors by value, in first-seen (i.e. ascending
+   first-row) order; [first_row] is the smallest row index of the group
+   because [iter f] must call [f i codes] in ascending row order.  [iter]
+   may reuse its buffer, so a profile's codes are copied on first sight
+   only.  Two sources feed it: a streaming [Dict.iter_encoded] pass (the
+   builder — a paged relation is grouped directly off its heap-file scan
+   under the buffer pool's page budget, so memory is bounded by the
+   number of *distinct* profiles, never by the row count) and the
+   encoded rows [apply_delta] carries along. *)
+let group ~rows iter =
+  let tbl = PH.create (max 16 (min 65536 rows)) in
   let order = Vec.create () in
-  Dict.iter_encoded dict rel (fun i codes ->
+  iter (fun i codes ->
       match PH.find_opt tbl codes with
       | Some prof -> prof.multiplicity <- prof.multiplicity + 1
       | None ->
@@ -217,51 +212,35 @@ let stream_profiles dict rel =
           Vec.push order prof);
   Vec.to_array order
 
-let c_dict_values = Obs.Counter.make "universe.dict_values"
-let c_profiles_r = Obs.Counter.make "universe.profiles_r"
-let c_profiles_p = Obs.Counter.make "universe.profiles_p"
-let c_profile_pairs = Obs.Counter.make "universe.profile_pairs"
-let c_pairs_skipped = Obs.Counter.make "universe.pairs_skipped"
+let group_codes codes = group ~rows:(Array.length codes) (fun f -> Array.iteri f codes)
+
 let c_kary_profiles = Obs.Counter.make "universe.kary_profiles"
 let c_kary_work = Obs.Counter.make "universe.kary_work"
 let c_kary_collapsed = Obs.Counter.make "universe.kary_collapsed"
 
+(* One class under construction: its multiplicity so far and its
+   lexicographically smallest candidate representative. *)
+type slot = { mutable n : int; mutable best : int array }
+
 let merge_into acc s count rep =
   match H.find_opt acc s with
-  | Some (c, rep') -> H.replace acc s (c + count, rep_min rep rep')
-  | None -> H.add acc s (count, rep)
+  | Some sl ->
+      sl.n <- sl.n + count;
+      sl.best <- rep_min rep sl.best
+  | None -> H.add acc s { n = count; best = rep }
 
-(* k = 2: one signature per distinct-profile pair, O(d_R·d_P·|Ω|) after
-   the encoding pass.  On two relations this plain scan is 1.5–2× faster
-   than the trie walk below on TPC-H joins 4 and 5 at scales 1 and 4
-   (EXPERIMENTS.md): the walk's suffix collapse and block cache only pay
-   off from the third relation on. *)
-let pair_scan omega dict r p =
-  let rprofs = stream_profiles dict r in
-  let pprofs = stream_profiles dict p in
-  let n_pairs = Array.length rprofs * Array.length pprofs in
-  Obs.Counter.add c_dict_values (Dict.size dict);
-  Obs.Counter.add c_profiles_r (Array.length rprofs);
-  Obs.Counter.add c_profiles_p (Array.length pprofs);
-  Obs.Counter.add c_profile_pairs n_pairs;
-  Obs.Counter.add c_pairs_skipped
-    ((Relation.cardinality r * Relation.cardinality p) - n_pairs);
-  let acc = H.create 256 in
-  Array.iter
-    (fun a ->
-      Array.iter
-        (fun b ->
-          merge_into acc
-            (Tsig.of_codes omega a.codes b.codes)
-            (a.multiplicity * b.multiplicity)
-            [| a.first_row; b.first_row |])
-        pprofs)
-    rprofs;
-  H.fold (fun s (c, rep) l -> (s, c, rep) :: l) acc []
+let slots acc = H.fold (fun s sl l -> (s, sl.n, sl.best) :: l) acc []
 
-(* k ≥ 3: a trie walk over distinct-profile k-tuples in the leapfrog
-   spirit — relations are levels, profiles are keys, and whole subtrees
-   collapse instead of being enumerated.  Two collapses apply:
+(* [Bits.union] that shares instead of copying when a side is empty —
+   the root signature, and most blocks on keyed data.  Signatures are
+   immutable, so sharing is safe. *)
+let union a b =
+  if Bits.is_empty a then b else if Bits.is_empty b then a else Bits.union a b
+
+(* The enumerator, for every k ≥ 2: a trie walk over distinct-profile
+   k-tuples in the leapfrog spirit — relations are levels, profiles are
+   keys, and whole subtrees collapse instead of being enumerated.  Two
+   collapses apply:
 
    1. Profile quotient: ∏|R_i| raw tuples shrink to at most ∏ d_i
       distinct-profile combinations, each merged with the product of the
@@ -272,143 +251,143 @@ let pair_scan omega dict r p =
       remaining relation, no further cross bits can be produced — the
       walk folds in the precomputed *suffix universe* (classes of
       R_j × … × R_{k-1} alone) in one step per suffix class rather than
-      descending.  Suffix universes are built bottom-up by the same walk,
-      so the construction is one pass of k stages.
+      descending.  Suffix universes are built by the same walk, each on
+      the first collapse that needs it, so the construction is at most k
+      stages.  On two relations
+      this folds every R-profile that shares no code with P into the ∅
+      class in one step.
 
-   Pairwise block signatures are cached per (relation pair, profile
-   pair), so each is computed once even though the walk revisits it on
-   every branch — this is where the "pairwise binary composition" reuse
-   lives.
+   A signature is the union of its pairwise blocks ([Tsig.of_block]).
+   Block signatures are cached per (relation pair, profile pair), so each
+   is computed once even though the walk revisits block (i, j) on every
+   branch through the relations before i — this is where the "pairwise
+   binary composition" reuse lives.  Block (0, 1) is not cached: the walk
+   meets each of its pairs exactly once, as the first step from a
+   stage-0 root, so a cache there is pure cost.
 
-   [limit] bounds the number of class merges (the unit of real work); a
-   walk exceeding it raises [Kary_too_large] — the typed refusal for
-   products whose quotient is still too big. *)
-let trie_walk ~limit omega dict rels =
-  let k = Array.length rels in
-  let width = Omega.width omega in
-  let profs = Array.map (fun r -> stream_profiles dict r) rels in
+   [limit] bounds the number of class merges (the unit of real work) on
+   three or more relations; a walk exceeding it raises [Kary_too_large]
+   — the typed refusal for products whose quotient is still too big.
+   Two relations always complete: their walk makes at most d_0·d_1 + d_1
+   merges, within twice the naive scan's |R|·|P| pairs. *)
+let trie_walk ~limit omega ~codes profs =
+  let k = Array.length profs in
+  let limit = if k < 3 then max_int else limit in
   Array.iter (fun ps -> Obs.Counter.add c_kary_profiles (Array.length ps)) profs;
-  (* Which codes appear anywhere in each relation. *)
-  let rel_codes =
-    Array.map
-      (fun ps ->
-        let h = Hashtbl.create 64 in
-        Array.iter
-          (fun p ->
-            Array.iter (fun c -> if c >= 0 then Hashtbl.replace h c ()) p.codes)
-          ps;
-        h)
-      profs
-  in
+  (* [owners.(c)]: the bitmask of relations in which code [c] occurs. *)
+  let owners = Array.make codes 0 in
+  Array.iteri
+    (fun j ps ->
+      Array.iter
+        (fun p ->
+          Array.iter
+            (fun c -> if c >= 0 then owners.(c) <- owners.(c) lor (1 lsl j))
+            p.codes)
+        ps)
+    profs;
   (* Per profile, the bitmask of relations sharing at least one code. *)
   let touch =
     Array.map
-      (fun ps ->
-        Array.map
-          (fun p ->
-            let m = ref 0 in
-            Array.iter
-              (fun c ->
-                if c >= 0 then
-                  for j = 0 to k - 1 do
-                    if Hashtbl.mem rel_codes.(j) c then m := !m lor (1 lsl j)
-                  done)
-              p.codes;
-            !m)
-          ps)
+      (Array.map (fun p ->
+           Array.fold_left (fun m c -> if c >= 0 then m lor owners.(c) else m) 0 p.codes))
       profs
   in
-  let suffix_mask =
-    Array.init (k + 1) (fun j ->
-        let m = ref 0 in
-        for i = j to k - 1 do
-          m := !m lor (1 lsl i)
-        done;
-        !m)
+  let root = Bits.empty (Omega.width omega) in
+  (* Relations j … k-1. *)
+  let suffix_mask = Array.init (k + 1) (fun j -> (1 lsl k) - (1 lsl j)) in
+  (* kernel.(i).(j) for the blocks i < j; no other entry is called. *)
+  let kernel =
+    Array.init k (fun i ->
+        Array.init k (fun j -> if i < j then Tsig.of_block omega i j else fun _ _ -> root))
   in
-  (* Cached pairwise block signatures, keyed by profile-index pair. *)
   let block_tbl = Array.init k (fun _ -> Array.init k (fun _ -> Hashtbl.create 16)) in
+  let block i a j b = kernel.(i).(j) profs.(i).(a).codes profs.(j).(b).codes in
   let block_sig i a j b =
-    let tbl = block_tbl.(i).(j) in
-    let key = (a * Array.length profs.(j)) + b in
-    match Hashtbl.find_opt tbl key with
-    | Some s -> s
-    | None ->
-        let ci = profs.(i).(a).codes and cj = profs.(j).(b).codes in
-        let m = Array.length cj in
-        let base = Omega.block_offset omega i j in
-        let s =
-          Bits.build width (fun set ->
-              for x = 0 to Array.length ci - 1 do
-                let c = ci.(x) in
-                if c >= 0 then
-                  for y = 0 to m - 1 do
-                    if Int.equal c cj.(y) then set (base + (x * m) + y)
-                  done
-              done)
-        in
-        Hashtbl.add tbl key s;
-        s
+    if Int.equal i 0 && Int.equal j 1 then block i a j b
+    else
+      let tbl = block_tbl.(i).(j) in
+      let key = (a * Array.length profs.(j)) + b in
+      match Hashtbl.find_opt tbl key with
+      | Some s -> s
+      | None ->
+          let s = block i a j b in
+          Hashtbl.add tbl key s;
+          s
   in
   let work = ref 0 in
   let bump () =
     incr work;
     if !work > limit then raise (Kary_too_large { work = !work; limit })
   in
-  (* [rep_of rev_prefix len suffix_rep]: the reversed prefix rows (length
-     [len]) followed by a suffix representative. *)
-  let rep_of rev_prefix len suffix_rep =
-    let arr = Array.make (len + Array.length suffix_rep) 0 in
-    List.iteri (fun idx v -> arr.(len - 1 - idx) <- v) rev_prefix;
-    Array.blit suffix_rep 0 arr len (Array.length suffix_rep);
-    arr
-  in
   (* suffix.(m): classes of R_m × … × R_{k-1} alone, as full-width
      signatures (their bits live in suffix blocks only) with suffix-length
-     representatives.  suffix.(k) is the neutral element. *)
-  let suffix = Array.make (k + 1) [] in
-  suffix.(k) <- [ (Bits.empty width, 1, [||]) ];
-  for m = k - 1 downto 0 do
+     representatives, built by [stage m] on the first collapse that needs
+     them.  suffix.(k) is the neutral element. *)
+  let suffix = Array.make (k + 1) None in
+  suffix.(k) <- Some [ (root, 1, [||]) ];
+  (* [sel.(i)], [path.(i)]: the profile chosen at level i and its first
+     row, for the levels m … j-1 of the current branch.  A stage forced
+     at level j writes levels j and up only, which the branch that forced
+     it no longer reads. *)
+  let sel = Array.make k 0 and path = Array.make k 0 in
+  let rec suffix_at j =
+    match suffix.(j) with
+    | Some classes -> classes
+    | None ->
+        let classes = stage j in
+        suffix.(j) <- Some classes;
+        classes
+  and stage m =
     let acc = H.create 256 in
-    let rec walk j sig_ mult rep_rev touched chosen =
-      if Int.equal j k then begin
-        bump ();
-        merge_into acc sig_ mult (rep_of rep_rev (j - m) [||])
-      end
+    (* The representative of a class is the vector of its first merge:
+       profiles are in ascending first-row order, so the walk meets
+       candidate vectors in lexicographic order — two candidates first
+       differ at a level where the earlier branch took the smaller first
+       row.  A collapsed subtree cannot hold two candidates of one
+       signature, since its distinct suffix classes add distinct bits to
+       the same prefix. *)
+    let merge j sig_ mult srep =
+      bump ();
+      match H.find_opt acc sig_ with
+      | Some sl -> sl.n <- sl.n + mult
+      | None ->
+          let best = Array.append (Array.sub path m (j - m)) srep in
+          H.add acc sig_ { n = mult; best }
+    in
+    let rec walk j sig_ mult touched =
+      if Int.equal j k then merge j sig_ mult [||]
       else if Int.equal (touched land suffix_mask.(j)) 0 then begin
         Obs.Counter.add c_kary_collapsed 1;
         List.iter
-          (fun (s, c, srep) ->
-            bump ();
-            merge_into acc (Bits.union sig_ s) (mult * c) (rep_of rep_rev (j - m) srep))
-          suffix.(j)
+          (fun (s, c, srep) -> merge j (union sig_ s) (mult * c) srep)
+          (suffix_at j)
       end
       else
         Array.iteri
-          (fun bidx b ->
-            let sig' =
-              List.fold_left
-                (fun s (i, aidx) -> Bits.union s (block_sig i aidx j bidx))
-                sig_ chosen
-            in
-            walk (j + 1) sig' (mult * b.multiplicity) (b.first_row :: rep_rev)
-              (touched lor touch.(j).(bidx))
-              ((j, bidx) :: chosen))
+          (fun b p ->
+            let s = ref sig_ in
+            for i = m to j - 1 do
+              s := union !s (block_sig i sel.(i) j b)
+            done;
+            sel.(j) <- b;
+            path.(j) <- p.first_row;
+            walk (j + 1) !s (mult * p.multiplicity) (touched lor touch.(j).(b)))
           profs.(j)
     in
     Array.iteri
-      (fun aidx a ->
-        walk (m + 1) (Bits.empty width) a.multiplicity [ a.first_row ]
-          touch.(m).(aidx)
-          [ (m, aidx) ])
+      (fun a p ->
+        sel.(m) <- a;
+        path.(m) <- p.first_row;
+        walk (m + 1) root p.multiplicity touch.(m).(a))
       profs.(m);
-    suffix.(m) <- H.fold (fun s (c, rep) l -> (s, c, rep) :: l) acc []
-  done;
+    slots acc
+  in
+  let classes = stage 0 in
   Obs.Counter.add c_kary_work !work;
-  suffix.(0)
+  classes
 
 (* The one exact builder, for every arity: intern all relations into one
-   dictionary, then the pair scan on k = 2 and the trie walk beyond. *)
+   dictionary, group each into profiles, then walk. *)
 let default_kary_limit = 20_000_000
 
 let build_kary ?(limit = default_kary_limit) rels =
@@ -418,13 +397,16 @@ let build_kary ?(limit = default_kary_limit) rels =
   let omega = omega_of rels in
   let total_rows = Array.fold_left (fun s r -> s + Relation.cardinality r) 0 rels in
   let dict = Dict.create ~size:total_rows () in
-  let sigs =
-    if Int.equal (Array.length rels) 2 then pair_scan omega dict rels.(0) rels.(1)
-    else trie_walk ~limit omega dict rels
+  let profs =
+    Array.map
+      (fun r -> group ~rows:(Relation.cardinality r) (Dict.iter_encoded dict r))
+      rels
   in
-  of_ksignature_list ~relations:rels omega sigs
+  of_ksignature_list ~relations:rels omega
+    (trie_walk ~limit omega ~codes:(Dict.size dict) profs)
 
 let build r p = build_kary [ r; p ]
+
 
 (* Approximate universe for products too large to scan (the paper's §1:
    "the database instances may be too big to be skimmed"): draw [tuples]
@@ -461,8 +443,7 @@ let build_sampled prng ~tuples rels =
     done;
     merge_into acc (Tsig.of_ktuples omega row_tuples) 1 rep
   done;
-  of_ksignature_list ~relations:rels omega
-    (H.fold (fun s (c, r) l -> (s, c, r) :: l) acc [])
+  of_ksignature_list ~relations:rels omega (slots acc)
 
 (* ---------------- incremental maintenance under churn -------------- *)
 
@@ -515,23 +496,6 @@ let ensure_cache t rels =
       let c = { dict; codes } in
       t.cache <- Some c;
       c
-
-(* Group a code matrix into profiles (first-seen order, like
-   [stream_profiles], but over already-encoded rows — integer hashing
-   only). *)
-let group_codes codes =
-  let tbl = PH.create (max 16 (min 65536 (Array.length codes))) in
-  let order = Vec.create () in
-  Array.iteri
-    (fun i cv ->
-      match PH.find_opt tbl cv with
-      | Some prof -> prof.multiplicity <- prof.multiplicity + 1
-      | None ->
-          let prof = { codes = cv; multiplicity = 1; first_row = i } in
-          PH.add tbl cv prof;
-          Vec.push order prof)
-    codes;
-  Vec.to_array order
 
 (* Position of [x] among the sorted [removed] indexes: [None] when [x]
    itself was removed, else [Some] of its post-delta index. *)

@@ -15,9 +15,9 @@ type cls = {
 
 type t
 
-(** Raised by {!build_kary} when the distinct-profile walk (k ≥ 3)
-    exceeds its work limit — the typed refusal for products whose quotient is still
-    too large to enumerate. *)
+(** Raised by {!build_kary} when its walk over three or more relations
+    exceeds its work limit — the typed refusal for products whose
+    quotient is still too large to enumerate. *)
 exception Kary_too_large of { work : int; limit : int }
 
 (** The universe of D = R_0 × … × R_{k-1} for any k ≥ 2, with
@@ -25,23 +25,28 @@ exception Kary_too_large of { work : int; limit : int }
     ({!Omega.of_schemas_kary} layout over the relations' names; on k = 2
     bit positions and printed predicates are the binary ones).
 
-    The one exact builder.  Every cell is interned into a shared
-    {!Jqi_relational.Dict} code space and rows are grouped by code
-    vector; then k = 2 scans the distinct-profile pairs, O(d_R·d_P·|Ω|)
-    after an O(rows·arity) encoding pass (d = distinct-profile count),
-    and k ≥ 3 walks a trie over distinct-profile k-tuples that folds
-    disconnected suffixes in whole and caches pairwise block signatures.
-    Identical output to {!build_naive} / {!build_kary_naive}: same
-    classes and counts, and each representative is the lexicographically
-    smallest member row vector of its class.  Raises {!Kary_too_large}
-    when the k ≥ 3 walk exceeds [limit] (default 2·10⁷) class merges, and
-    [Invalid_argument] on fewer than two relations or an empty product. *)
+    The one exact builder, with one enumerator for every k.  Every cell
+    is interned into a shared {!Jqi_relational.Dict} code space and rows
+    are grouped by code vector (an O(rows·arity) pass); then a trie walk
+    over distinct-profile k-tuples builds each signature from cached
+    pairwise blocks ({!Tsig.of_block}) and folds in whole any suffix of
+    relations that shares no code with the profiles chosen so far.  On
+    two relations that is one signature per distinct-profile pair,
+    O(d_R·d_P·|Ω|) with d the distinct-profile count, and one step for
+    each R-profile sharing no code with P.  Identical output to
+    {!build_naive} / {!build_kary_naive}: same classes and counts, and
+    each representative is the lexicographically smallest member row
+    vector of its class.  Raises {!Kary_too_large} when a walk over
+    k ≥ 3 relations exceeds [limit] (default 2·10⁷) class merges — two
+    relations always complete, as their work stays within 2·|R|·|P| — and
+    [Invalid_argument] on fewer than two relations or an empty
+    product. *)
 val build_kary : ?limit:int -> Jqi_relational.Relation.t list -> t
 
 (** [build r p] is [build_kary [r; p]]. *)
 val build : Jqi_relational.Relation.t -> Jqi_relational.Relation.t -> t
 
-(** The reference per-pair scan: one [Tsig.of_tuples] call per tuple of
+(** The reference per-pair scan: one [Tsig.of_ktuples] call per tuple of
     R × P, O(|R|·|P|·|Ω|).  Kept as the executable definition and the
     differential oracle for {!build_kary} on two relations. *)
 val build_naive : Jqi_relational.Relation.t -> Jqi_relational.Relation.t -> t
@@ -62,18 +67,12 @@ val build_kary_naive : Jqi_relational.Relation.t list -> t
 val build_sampled :
   Jqi_util.Prng.t -> tuples:int -> Jqi_relational.Relation.t list -> t
 
-(** Assemble a binary universe directly from (signature, multiplicity,
-    representative) triples; duplicate signatures are merged (keeping the
-    first representative).  Meant for tests and the minimax examples. *)
-val of_signature_list :
-  ?relations:Jqi_relational.Relation.t * Jqi_relational.Relation.t ->
-  Omega.t ->
-  (Jqi_util.Bits.t * int * (int * int)) list ->
-  t
-
-(** K-ary {!of_signature_list}: representatives carry one row index per
-    relation of [omega].  Raises [Invalid_argument] on a representative
-    or relation count mismatching [omega]. *)
+(** Assemble a universe directly from (signature, multiplicity,
+    representative) triples, one row index per relation of [omega] in
+    each representative; duplicate signatures are merged (keeping the
+    first representative).  Meant for tests and the minimax examples.
+    Raises [Invalid_argument] on a non-positive multiplicity or a
+    representative or relation count mismatching [omega]. *)
 val of_ksignature_list :
   ?relations:Jqi_relational.Relation.t array ->
   Omega.t ->

@@ -77,9 +77,9 @@ let build relations =
     if Int.equal depth k then begin
       let sigs =
         Array.init (k - 1) (fun i ->
-            Tsig.of_tuples omegas.(i)
-              (Relation.row relations.(i) rows.(i))
-              (Relation.row relations.(i + 1) rows.(i + 1)))
+            Tsig.of_ktuples omegas.(i)
+              [| Relation.row relations.(i) rows.(i);
+                 Relation.row relations.(i + 1) rows.(i + 1) |])
       in
       let key = key sigs in
       match H.find_opt acc key with

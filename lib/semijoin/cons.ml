@@ -25,7 +25,7 @@ let encode r p omega (s : Semijoin.sample) =
   let width = Omega.width omega in
   let var_of_pair k = k + 1 in
   let sig_row i j =
-    Tsig.of_tuples omega (Relation.row r i) (Relation.row p j)
+    Tsig.of_ktuples omega [| Relation.row r i; Relation.row p j |]
   in
   let np = Relation.cardinality p in
   let positive i =

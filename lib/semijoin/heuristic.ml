@@ -54,7 +54,7 @@ let ambiguity r p omega i =
   let seen = H.create 16 in
   let tr = Relation.row r i in
   Relation.iter
-    (fun tp -> H.replace seen (Tsig.of_tuples omega tr tp) ())
+    (fun tp -> H.replace seen (Tsig.of_ktuples omega [| tr; tp |]) ())
     p;
   H.length seen
 

@@ -31,7 +31,7 @@ let selects r p omega theta i =
   let np = Relation.cardinality p in
   let rec go j =
     j < np
-    && (Tsig.selects theta (Tsig.of_tuples omega tr (Relation.row p j)) || go (j + 1))
+    && (Tsig.selects theta (Tsig.of_ktuples omega [| tr; Relation.row p j |]) || go (j + 1))
   in
   go 0
 

@@ -75,7 +75,8 @@ let stale_reason_string = function
 let stale_doc_message signature label =
   Printf.sprintf "%s class %s was retired by churn"
     (match label with
-    | Some l -> Printf.sprintf "the %s-labeled" (label_glyph l)
+    | Some Sample.Positive -> "the positively labeled"
+    | Some Sample.Negative -> "the negatively labeled"
     | None -> "the pending question's")
     (Jqi_util.Bits.to_string signature)
 

@@ -32,7 +32,7 @@ let d0 (i, j) = (i - 1, j - 1)
 (* The class of the universe holding tuple (t_i, t'_j). *)
 let class0 (i, j) =
   let tr = Relation.row r0 (i - 1) and tp = Relation.row p0 (j - 1) in
-  let s = Jqi_core.Tsig.of_tuples omega0 tr tp in
+  let s = Jqi_core.Tsig.of_ktuples omega0 [| tr; tp |] in
   match Universe.find_class universe0 s with
   | Some c -> c
   | None -> failwith "Fixtures.class0: signature not in universe"

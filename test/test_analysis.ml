@@ -49,9 +49,9 @@ let test_large_class_count_recommendation () =
         let bits =
           List.filter (fun b -> (k + 1) lsr b land 1 = 1) (List.init 10 Fun.id)
         in
-        (Jqi_util.Bits.of_list 10 bits, 1, (k, 0)))
+        (Jqi_util.Bits.of_list 10 bits, 1, [| k; 0 |]))
   in
-  let u = Universe.of_signature_list omega sigs in
+  let u = Universe.of_ksignature_list omega sigs in
   let a = Analysis.analyze u in
   Alcotest.(check bool) "many classes" true (a.n_classes > 400);
   Alcotest.(check bool) "recommends TD or L1S" true

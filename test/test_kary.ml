@@ -281,14 +281,14 @@ let qcheck_sampled_k2_matches_binary =
           let by_pair =
             List.map
               (fun (i, j) ->
-                ( Jqi_core.Tsig.of_tuples omega (Relation.row r i)
-                    (Relation.row p j),
+                ( Jqi_core.Tsig.of_ktuples omega
+                    [| Relation.row r i; Relation.row p j |],
                   1,
-                  (i, j) ))
+                  [| i; j |] ))
               (List.sort compare pairs)
           in
           universes_agree
-            (Universe.of_signature_list ~relations:(r, p) omega by_pair)
+            (Universe.of_ksignature_list ~relations:[| r; p |] omega by_pair)
             (Universe.build_sampled (Prng.create 11) ~tuples:15 [ r; p ])
       | _ -> false)
 
@@ -308,6 +308,23 @@ let test_kary_too_large () =
   let u = Universe.build_kary ~limit:1_000_000 rels in
   Alcotest.(check bool) "generous limit agrees with naive" true
     (universes_agree (Universe.build_kary_naive rels) u)
+
+let test_binary_ignores_limit () =
+  (* Two relations always complete: the work limit bounds walks over
+     three or more relations only, so a binary build making far more
+     than one merge (some pairs join, some rows share no code at all)
+     still matches the oracle under [~limit:1]. *)
+  let mk name pre rows =
+    relation_of name pre (List.map (fun (x, y) -> Tuple.ints [ x; y ]) rows)
+  in
+  let r = mk "r" "a" [ (1, 2); (3, 4); (1, 2); (5, 6); (7, 70); (2, 1) ] in
+  let p = mk "p" "b" [ (2, 1); (4, 3); (6, 5); (1, 1); (8, 80) ] in
+  match Universe.build_kary ~limit:1 [ r; p ] with
+  | u ->
+      Alcotest.(check bool) "limit 1 agrees with build_naive" true
+        (universes_agree (Universe.build_naive r p) u)
+  | exception Universe.Kary_too_large _ ->
+      Alcotest.fail "a binary build must not raise Kary_too_large"
 
 let test_kary_validation () =
   let r = relation_of "r" "a" [ Tuple.of_list [ Value.Int 1 ] ] in
@@ -343,3 +360,7 @@ let suite =
         qcheck_sampled_kary_deterministic;
         qcheck_sampled_k2_matches_binary;
       ]
+  @ [
+      Alcotest.test_case "binary builds ignore the work limit" `Quick
+        test_binary_ignores_limit;
+    ]

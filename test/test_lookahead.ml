@@ -41,8 +41,8 @@ let universe_of_scenario sc =
   let omega = Omega.create ~n:sc.n ~m:sc.m () in
   let w = Omega.width omega in
   ( omega,
-    Universe.of_signature_list omega
-      (List.map (fun (mask, count) -> (bits_of_mask w mask, count, (0, 0))) sc.sigs) )
+    Universe.of_ksignature_list omega
+      (List.map (fun (mask, count) -> (bits_of_mask w mask, count, [| 0; 0 |])) sc.sigs) )
 
 let state_of_scenario u sc =
   let st = State.create u in

@@ -13,8 +13,8 @@ module Minimax = Jqi_core.Minimax
 let tiny_universe sigs =
   (* A universe given directly by signatures over a 2x2 Ω. *)
   let omega = Omega.create ~n:2 ~m:2 () in
-  Universe.of_signature_list omega
-    (List.map (fun pairs -> (Omega.of_pairs omega pairs, 1, (0, 0))) sigs)
+  Universe.of_ksignature_list omega
+    (List.map (fun pairs -> (Omega.of_pairs omega pairs, 1, [| 0; 0 |])) sigs)
 
 let test_single_class () =
   (* One class: a single question settles everything. *)

@@ -7,8 +7,8 @@ let omega = Omega.create ~n:3 ~m:4 ()
 
 let test_width () =
   Alcotest.(check int) "width" 12 (Omega.width omega);
-  Alcotest.(check int) "left" 3 (Omega.left_arity omega);
-  Alcotest.(check int) "right" 4 (Omega.right_arity omega)
+  Alcotest.(check int) "left" 3 (Omega.arity_at omega 0);
+  Alcotest.(check int) "right" 4 (Omega.arity_at omega 1)
 
 let test_bijection () =
   for k = 0 to Omega.width omega - 1 do

@@ -487,6 +487,42 @@ let test_resume_stale_pending () =
       Alcotest.fail
         ("expected stale_label, got: " ^ Manager.error_message e)
 
+(* A document whose example [sig] names no class resumes as stale_label
+   with a message that spells the label out; the 2×2 Ω = {0,1,2,3} is
+   no class of the tiny pair. *)
+let test_resume_stale_label_message () =
+  let manager = Manager.create (tiny_catalog ()) in
+  let doc glyph =
+    Json.Obj
+      [
+        ("version", Json.int 2);
+        ("strategy", Json.Str "TD");
+        ( "examples",
+          Json.List
+            [
+              Json.Obj
+                [
+                  ("r", Json.int 0);
+                  ("p", Json.int 0);
+                  ("sig", Json.List (List.map Json.int [ 0; 1; 2; 3 ]));
+                  ("label", Json.Str glyph);
+                ];
+            ] );
+      ]
+  in
+  List.iter
+    (fun (glyph, expected) ->
+      match Manager.resume_list manager ~relations:[ "TR"; "TP" ] (doc glyph) with
+      | Error (Manager.Stale_label msg) ->
+          Alcotest.(check string) ("message for " ^ glyph) expected msg
+      | Ok _ -> Alcotest.fail "resume must surface the retired labeled class"
+      | Error e ->
+          Alcotest.fail ("expected stale_label, got: " ^ Manager.error_message e))
+    [
+      ("-", "the negatively labeled class {0,1,2,3} was retired by churn");
+      ("+", "the positively labeled class {0,1,2,3} was retired by churn");
+    ]
+
 (* Churn then idle eviction, with an injected clock: the re-certified
    session autosaves on sweep and thaws against the patched universe —
    no real time passes and no rebuild happens. *)
@@ -1060,6 +1096,8 @@ let suite =
       test_manager_delta_stale;
     Alcotest.test_case "resume of a deleted pending question is stale_label"
       `Quick test_resume_stale_pending;
+    Alcotest.test_case "stale label messages spell the label out" `Quick
+      test_resume_stale_label_message;
     Alcotest.test_case "eviction after churn still autosaves" `Quick
       test_eviction_after_churn;
     QCheck_alcotest.to_alcotest qcheck_request_roundtrip;

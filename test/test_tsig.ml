@@ -11,7 +11,7 @@ module Tsig = Jqi_core.Tsig
 let check_sig = Alcotest.check bits_testable
 
 let sig_of (i, j) =
-  Tsig.of_tuples omega0 (Relation.row r0 (i - 1)) (Relation.row p0 (j - 1))
+  Tsig.of_ktuples omega0 [| Relation.row r0 (i - 1); Relation.row p0 (j - 1) |]
 
 let test_figure3 () =
   List.iter
@@ -35,7 +35,7 @@ let test_null_never_matches () =
   let omega = Omega.create ~n:2 ~m:2 () in
   let tr = Tuple.of_list [ Value.Null; Value.Int 1 ] in
   let tp = Tuple.of_list [ Value.Null; Value.Int 1 ] in
-  let s = Tsig.of_tuples omega tr tp in
+  let s = Tsig.of_ktuples omega [| tr; tp |] in
   (* NULL=NULL and NULL=1 contribute nothing; only 1=1 matches. *)
   check_sig "null sig" (Omega.of_pairs omega [ (1, 1) ]) s
 
@@ -51,7 +51,8 @@ let test_cross_type_no_match () =
   let omega = Omega.create ~n:1 ~m:2 () in
   let tr = Tuple.of_list [ Value.Int 1 ] in
   let tp = Tuple.of_list [ Value.Float 1.0; Value.Str "1" ] in
-  check_sig "int vs float/string" (Omega.empty omega) (Tsig.of_tuples omega tr tp)
+  check_sig "int vs float/string" (Omega.empty omega)
+    (Tsig.of_ktuples omega [| tr; tp |])
 
 let suite =
   [

@@ -96,15 +96,16 @@ let test_signature_consistency () =
     | Some [| tr; tp |] ->
         Alcotest.check bits_testable "sig = T(rep)"
           (Universe.signature universe0 i)
-          (Tsig.of_tuples omega0 tr tp)
+          (Tsig.of_ktuples omega0 [| tr; tp |])
     | Some _ | None -> Alcotest.fail "no representative pair"
   done
 
-let test_of_signature_list_merges () =
+let test_of_ksignature_list_merges () =
   let o = Omega.create ~n:2 ~m:2 () in
   let s = Omega.of_pairs o [ (0, 0) ] in
   let u =
-    Universe.of_signature_list o [ (s, 2, (0, 0)); (s, 3, (1, 1)); (Omega.empty o, 1, (0, 1)) ]
+    Universe.of_ksignature_list o
+      [ (s, 2, [| 0; 0 |]); (s, 3, [| 1; 1 |]); (Omega.empty o, 1, [| 0; 1 |]) ]
   in
   Alcotest.(check int) "merged classes" 2 (Universe.n_classes u);
   Alcotest.(check int) "total" 6 (Universe.total_tuples u)
@@ -129,6 +130,6 @@ let suite =
     Alcotest.test_case "selected classes" `Quick test_selected_classes;
     Alcotest.test_case "instance equivalence" `Quick test_equivalent;
     Alcotest.test_case "signatures match representatives" `Quick test_signature_consistency;
-    Alcotest.test_case "of_signature_list merges" `Quick test_of_signature_list_merges;
+    Alcotest.test_case "of_ksignature_list merges" `Quick test_of_ksignature_list_merges;
     Alcotest.test_case "empty product rejected" `Quick test_empty_product_rejected;
   ]

@@ -167,9 +167,8 @@ let qcheck_signatures_match_reps =
         i >= Universe.n_classes u
         ||
         let rep = (Universe.cls u i).Universe.rep in
-        let ri = rep.(0) and pj = rep.(1) in
         Bits.equal (Universe.signature u i)
-          (Tsig.of_tuples omega (Relation.row r ri) (Relation.row p pj))
+          (Tsig.of_ktuples omega [| Relation.row r rep.(0); Relation.row p rep.(1) |])
         && go (i + 1)
       in
       go 0)
@@ -271,17 +270,26 @@ let test_dict_encoding () =
     (try ignore (Dict.encode_column d rel 9); false
      with Invalid_argument _ -> true)
 
-let test_of_codes_matches_of_tuples () =
+let test_of_kcodes_matches_of_ktuples () =
   let d = Dict.create () in
   let tr = Tuple.of_list [ Value.Int 1; Value.Null; Value.Str "x" ] in
   let tp = Tuple.of_list [ Value.Str "x"; Value.Int 1 ] in
   let omega = Omega.create ~n:3 ~m:2 () in
   let cr = Dict.encode_row d tr and cp = Dict.encode_row d tp in
-  Alcotest.(check bool) "of_codes = of_tuples" true
-    (Bits.equal (Tsig.of_tuples omega tr tp) (Tsig.of_codes omega cr cp));
+  let expected = Omega.of_pairs omega [ (0, 1); (2, 0) ] in
+  Alcotest.(check bool) "of_ktuples on two relations" true
+    (Bits.equal expected (Tsig.of_ktuples omega [| tr; tp |]));
+  Alcotest.(check bool) "of_kcodes = of_ktuples" true
+    (Bits.equal expected (Tsig.of_kcodes omega [| cr; cp |]));
+  Alcotest.(check bool) "of_block = of_kcodes on the one block" true
+    (Bits.equal expected (Tsig.of_block omega 0 1 cr cp));
+  let raises f = try ignore (f ()); false with Invalid_argument _ -> true in
   Alcotest.(check bool) "arity mismatch raises" true
-    (try ignore (Tsig.of_codes omega cr [| 0 |]); false
-     with Invalid_argument _ -> true)
+    (raises (fun () -> Tsig.of_kcodes omega [| cr; [| 0 |] |]));
+  Alcotest.(check bool) "block arity mismatch raises" true
+    (raises (fun () -> Tsig.of_block omega 0 1 cr [| 0 |]));
+  Alcotest.(check bool) "relation count mismatch raises" true
+    (raises (fun () -> Tsig.of_kcodes omega [| cr |]))
 
 let suite =
   [
@@ -297,8 +305,8 @@ let suite =
       test_dict_codes_follow_eq;
     Alcotest.test_case "dict: find is read-only" `Quick test_dict_find_read_only;
     Alcotest.test_case "dict: row/column encoding" `Quick test_dict_encoding;
-    Alcotest.test_case "tsig: of_codes = of_tuples" `Quick
-      test_of_codes_matches_of_tuples;
+    Alcotest.test_case "tsig: of_kcodes = of_ktuples" `Quick
+      test_of_kcodes_matches_of_ktuples;
   ]
   @ List.map QCheck_alcotest.to_alcotest
       [ qcheck_quotient_equals_naive; qcheck_signatures_match_reps ]
